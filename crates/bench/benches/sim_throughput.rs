@@ -1,16 +1,14 @@
 //! Simulator throughput: simulated instructions per host second for the
-//! pipelined core and the functional reference interpreter — plus the
-//! disabled-tracing configuration, which must stay within noise of the
-//! untraced core (the observability layer's zero-overhead claim), and
-//! the decode-cache A/B comparison on both engines (the shared
-//! pre-decoded instruction cache must pay for itself).
+//! pipelined core and the functional reference interpreter, and the
+//! decode-cache A/B comparison on both engines (the shared pre-decoded
+//! instruction cache must pay for itself).
 //!
 //! Results land in `BENCH_sim_throughput.json` (unified metrics format)
 //! so successive runs can be diffed by machine.
 
 use metal_bench::harness::std_config;
 use metal_bench::microbench::{bench_fn, bench_pair, black_box, fast_mode, Pair};
-use metal_pipeline::{Core, CoreConfig, Engine, Interp, NoHooks, TracingHooks};
+use metal_pipeline::{Core, CoreConfig, Engine, Interp, NoHooks};
 use metal_trace::MetricsSnapshot;
 
 const LOOPS: u64 = 5_000;
@@ -61,30 +59,6 @@ fn decode_cache_ab<E: Engine<Hooks = NoHooks>>(image: &[u8]) -> Pair {
 
 fn main() {
     let image = program();
-    // Tracing hooks installed but the trace handle disabled: the hot
-    // path sees one predictable branch per emission point. Interleaved
-    // batches so host drift cancels out of the overhead estimate.
-    let trace_pair = bench_pair(
-        "sim_throughput",
-        "pipelined_core",
-        || {
-            let mut core = Core::new(std_config(), NoHooks);
-            core.load_segments([(0u32, image.as_slice())], 0);
-            black_box(core.run(10_000_000));
-        },
-        "pipelined_core_trace_disabled",
-        || {
-            let mut core = Core::new(std_config(), TracingHooks::new(NoHooks));
-            core.load_segments([(0u32, image.as_slice())], 0);
-            black_box(core.run(10_000_000));
-        },
-    );
-    if !fast_mode() {
-        println!(
-            "sim_throughput/trace_disabled_overhead: {:+.2}% (paired median)",
-            trace_pair.rel_diff * 100.0
-        );
-    }
     let interp_ns = bench_fn("sim_throughput", "reference_interp", || {
         sim_once::<Interp<NoHooks>>(std_config(), &image);
     });
@@ -98,7 +72,6 @@ fn main() {
     let mut snap = MetricsSnapshot::new();
     snap.set_gauge("bench.pipelined_core.ns_per_run", core_pair.b);
     snap.set_gauge("bench.reference_interp.ns_per_run", interp_ns);
-    snap.set_gauge("bench.trace_disabled.rel_overhead", trace_pair.rel_diff);
     for (engine, pair) in [("pipeline", &core_pair), ("interp", &interp_pair)] {
         snap.set_gauge(
             &format!("bench.{engine}.decode_cache_off.ns_per_run"),

@@ -252,39 +252,40 @@ impl Metal {
         })
     }
 
-    /// Reads the first word of an entry's code and the decode-stall its
-    /// dispatch costs.
-    fn dispatch_fetch(&mut self, state: &mut MachineState, pc: u32) -> Result<(u32, u32), Trap> {
-        match self.config.dispatch {
-            DispatchStyle::Mram => {
-                if let Some(trap) = self.verify_mram_code(pc) {
-                    return Err(trap);
-                }
-                let word = self
+    /// The one instruction fetch for mroutine code, with no mode gating:
+    /// the PALcode image or the MRAM window (check bits verified, code
+    /// already decoded). Returns the instruction and its fetch latency;
+    /// `None` when `pc` lies in neither. Every successful fetch is
+    /// traced as an MRAM fetch.
+    fn fetch_code(
+        &self,
+        state: &mut MachineState,
+        pc: u32,
+    ) -> Option<Result<(DecodedInsn, u32), Trap>> {
+        let fetched = if self.in_palcode(pc) {
+            // PALcode runs with instruction translation disabled (as on
+            // the Alpha): fetch physically through the I-cache path.
+            state
+                .bus
+                .read_u32(pc)
+                .map(|word| (decode_to(word), state.icache.access(pc)))
+                .map_err(|e| Trap::new(TrapCause::InsnAccessFault, e.addr()))
+        } else if self.mram.contains_pc(pc) {
+            match self.verify_mram_code(pc) {
+                Some(trap) => Err(trap),
+                None => self
                     .mram
-                    .code_word(pc)
-                    .map_err(|_| Trap::new(TrapCause::InsnAccessFault, pc))?;
-                Ok((word, self.mram.fetch_latency().saturating_sub(1)))
+                    .code_decoded(pc)
+                    .map(|decoded| (decoded, self.mram.fetch_latency()))
+                    .map_err(|_| Trap::new(TrapCause::InsnAccessFault, pc)),
             }
-            DispatchStyle::Palcode { .. } => {
-                // PALcode runs with instruction translation disabled
-                // (as on the Alpha): fetch physically through the
-                // I-cache path.
-                let (word, latency) = Self::palcode_fetch(state, pc)?;
-                Ok((word, latency.saturating_sub(1) + self.config.palcode_drain))
-            }
+        } else {
+            return None;
+        };
+        if fetched.is_ok() {
+            state.trace.emit(EventKind::MramFetch { pc });
         }
-    }
-
-    /// Physical (untranslated) fetch through the I-cache, used for
-    /// PALcode-style mroutine code.
-    fn palcode_fetch(state: &mut MachineState, pc: u32) -> Result<(u32, u32), Trap> {
-        let word = state
-            .bus
-            .read_u32(pc)
-            .map_err(|e| Trap::new(TrapCause::InsnAccessFault, e.addr()))?;
-        let latency = state.icache.access(pc);
-        Ok((word, latency))
+        Some(fetched)
     }
 
     /// True if `pc` lies in the PALcode image region.
@@ -309,7 +310,13 @@ impl Metal {
         let Some(pc) = self.entry_pc(entry) else {
             return Err(Trap::new(TrapCause::IllegalInstruction, u32::from(entry)));
         };
-        let (word, mut stall) = self.dispatch_fetch(state, pc)?;
+        let (decoded, latency) = self
+            .fetch_code(state, pc)
+            .unwrap_or(Err(Trap::new(TrapCause::InsnAccessFault, pc)))?;
+        let mut stall = latency.saturating_sub(1);
+        if let DispatchStyle::Palcode { .. } = self.config.dispatch {
+            stall += self.config.palcode_drain; // pipeline drain, as on the Alpha
+        }
         if !self.config.decode_replacement {
             stall += 2; // full redirect instead of in-slot replacement
         }
@@ -346,7 +353,7 @@ impl Metal {
             pc,
         });
         Ok(DecodeOutcome::Replace {
-            word,
+            decoded,
             pc,
             next_fetch: pc.wrapping_add(4),
             stall,
@@ -397,55 +404,20 @@ impl Metal {
 }
 
 impl Hooks for Metal {
-    fn fetch(&mut self, state: &mut MachineState, pc: u32) -> Option<Result<(u32, u32), Trap>> {
-        // PALcode-style mroutines execute with translation off.
-        if self.in_palcode(pc) && self.mode() != Mode::Normal {
-            return Some(Self::palcode_fetch(state, pc));
-        }
-        if !self.mram.contains_pc(pc) {
-            return None;
-        }
-        // MRAM is executable only in Metal mode; normal-mode jumps into
-        // the window fault.
-        if self.mode() == Mode::Normal {
-            return Some(Err(Trap::new(TrapCause::InsnAccessFault, pc)));
-        }
-        if let Some(trap) = self.verify_mram_code(pc) {
-            return Some(Err(trap));
-        }
-        Some(
-            self.mram
-                .code_word(pc)
-                .map(|word| (word, self.mram.fetch_latency()))
-                .map_err(|_| Trap::new(TrapCause::InsnAccessFault, pc)),
-        )
-    }
-
     fn fetch_decoded(
         &mut self,
         state: &mut MachineState,
         pc: u32,
     ) -> Option<Result<(DecodedInsn, u32), Trap>> {
-        if self.in_palcode(pc) && self.mode() != Mode::Normal {
-            return Some(Self::palcode_fetch(state, pc).map(|(word, lat)| (decode_to(word), lat)));
-        }
-        if !self.mram.contains_pc(pc) {
-            return None;
-        }
+        // Outside Metal mode the PALcode image is ordinary RAM, and MRAM
+        // is not executable: normal-mode jumps into the window fault.
         if self.mode() == Mode::Normal {
-            return Some(Err(Trap::new(TrapCause::InsnAccessFault, pc)));
+            return self
+                .mram
+                .contains_pc(pc)
+                .then(|| Err(Trap::new(TrapCause::InsnAccessFault, pc)));
         }
-        if let Some(trap) = self.verify_mram_code(pc) {
-            return Some(Err(trap));
-        }
-        // MRAM code is pre-decoded at install time; fetches from the
-        // window never pay a per-cycle decode.
-        Some(
-            self.mram
-                .code_decoded(pc)
-                .map(|decoded| (decoded, self.mram.fetch_latency()))
-                .map_err(|_| Trap::new(TrapCause::InsnAccessFault, pc)),
-        )
+        self.fetch_code(state, pc)
     }
 
     fn decode_is_sensitive(&self, _state: &MachineState, word: u32, insn: &Insn) -> bool {
@@ -542,31 +514,20 @@ impl Hooks for Metal {
                 }
                 // A nested mexit unwinds into the *outer mroutine*, whose
                 // code lives in MRAM; only the outermost mexit returns to
-                // the normal fetch path.
-                let fetched = if self.mram.contains_pc(target) {
-                    if self.mode() == Mode::Normal {
-                        Err(Trap::new(TrapCause::InsnAccessFault, target))
-                    } else if let Some(trap) = self.verify_mram_code(target) {
-                        Err(trap)
-                    } else {
-                        self.mram
-                            .code_word(target)
-                            .map(|word| (word, self.mram.fetch_latency()))
-                            .map_err(|_| Trap::new(TrapCause::InsnAccessFault, target))
-                    }
-                } else if self.in_palcode(target) && self.mode() != Mode::Normal {
-                    Self::palcode_fetch(state, target)
-                } else {
-                    state.fetch(target)
+                // the normal fetch path. Either way the return fetch is
+                // the one the engines would make at `target`.
+                let fetched = match self.fetch_decoded(state, target) {
+                    Some(fetched) => fetched,
+                    None => state.fetch_decoded(target),
                 };
                 match fetched {
-                    Ok((word, latency)) => {
+                    Ok((decoded, latency)) => {
                         let mut stall = latency.saturating_sub(1);
                         if !self.config.decode_replacement {
                             stall += 2;
                         }
                         DecodeOutcome::Replace {
-                            word,
+                            decoded,
                             pc: target,
                             next_fetch: target.wrapping_add(4),
                             stall,
@@ -593,83 +554,15 @@ impl Hooks for Metal {
     fn exec_custom(
         &mut self,
         state: &mut MachineState,
-        _pc: u32,
+        pc: u32,
         word: u32,
         insn: &Insn,
         rs1: u32,
         rs2: u32,
     ) -> Result<CustomExec, Trap> {
-        debug_assert!(
-            matches!(self.mode(), Mode::Metal { .. }),
-            "decode gate lets Metal instructions reach EX only in Metal mode"
-        );
-        match *insn {
-            Insn::Rmr { idx, .. } => {
-                if let Some(n) = idx.mreg_index() {
-                    if let Some(syndrome) = self.mregs.verify(n) {
-                        return Err(Trap::new(
-                            TrapCause::MachineCheck {
-                                site: FaultSite::Mreg,
-                                syndrome,
-                            },
-                            n as u32,
-                        ));
-                    }
-                }
-                Ok(CustomExec {
-                    writeback: Some(self.mregs.read(idx, state)),
-                    extra_cycles: 0,
-                })
-            }
-            Insn::Wmr { idx, .. } => {
-                // `mabort` is write-sensitive: the recovery mroutine's
-                // declaration that the machine check is unrecoverable.
-                if matches!(Mcr::from_index(idx), Some(Mcr::Mabort)) {
-                    if rs1 != 0 {
-                        state.trace.emit(EventKind::Recovery {
-                            action: RecoveryAction::Abort,
-                        });
-                        state.halted = Some(HaltReason::Fatal(format!(
-                            "machine-check recovery abort (mabort = {rs1:#x})"
-                        )));
-                    }
-                    return Ok(CustomExec::default());
-                }
-                self.mregs.write(idx, rs1);
-                Ok(CustomExec::default())
-            }
-            Insn::Mld { offset, .. } => {
-                let addr = rs1.wrapping_add(offset as u32);
-                if let Some(syndrome) = self.mram.data_verify(addr) {
-                    return Err(Trap::new(
-                        TrapCause::MachineCheck {
-                            site: FaultSite::MramData,
-                            syndrome,
-                        },
-                        addr,
-                    ));
-                }
-                let value = self
-                    .mram
-                    .data_load(addr)
-                    .map_err(|_| Trap::new(TrapCause::LoadAccessFault, addr))?;
-                state.trace.emit(EventKind::MramData { addr, write: false });
-                Ok(CustomExec {
-                    writeback: Some(value),
-                    extra_cycles: 0,
-                })
-            }
-            Insn::Mst { offset, .. } => {
-                let addr = rs1.wrapping_add(offset as u32);
-                self.mram
-                    .data_store(addr, rs2)
-                    .map_err(|_| Trap::new(TrapCause::StoreAccessFault, addr))?;
-                state.trace.emit(EventKind::MramData { addr, write: true });
-                Ok(CustomExec::default())
-            }
-            Insn::March { op, .. } => self.exec_march(state, op, insn, rs1, rs2),
-            _ => Err(Trap::illegal(word)),
-        }
+        let exec = self.execute(state, word, insn, rs1, rs2)?;
+        state.trace.emit(EventKind::CustomExec { pc, word });
+        Ok(exec)
     }
 
     fn on_trap(&mut self, state: &mut MachineState, event: &TrapEvent) -> TrapDisposition {
@@ -773,6 +666,89 @@ impl Hooks for Metal {
 }
 
 impl Metal {
+    /// Executes a Metal-mode instruction that reached EX (`rmr`, `wmr`,
+    /// `mld`, `mst`, `march.*`).
+    fn execute(
+        &mut self,
+        state: &mut MachineState,
+        word: u32,
+        insn: &Insn,
+        rs1: u32,
+        rs2: u32,
+    ) -> Result<CustomExec, Trap> {
+        debug_assert!(
+            matches!(self.mode(), Mode::Metal { .. }),
+            "decode gate lets Metal instructions reach EX only in Metal mode"
+        );
+        match *insn {
+            Insn::Rmr { idx, .. } => {
+                if let Some(n) = idx.mreg_index() {
+                    if let Some(syndrome) = self.mregs.verify(n) {
+                        return Err(Trap::new(
+                            TrapCause::MachineCheck {
+                                site: FaultSite::Mreg,
+                                syndrome,
+                            },
+                            n as u32,
+                        ));
+                    }
+                }
+                Ok(CustomExec {
+                    writeback: Some(self.mregs.read(idx, state)),
+                    extra_cycles: 0,
+                })
+            }
+            Insn::Wmr { idx, .. } => {
+                // `mabort` is write-sensitive: the recovery mroutine's
+                // declaration that the machine check is unrecoverable.
+                if matches!(Mcr::from_index(idx), Some(Mcr::Mabort)) {
+                    if rs1 != 0 {
+                        state.trace.emit(EventKind::Recovery {
+                            action: RecoveryAction::Abort,
+                        });
+                        state.halted = Some(HaltReason::Fatal(format!(
+                            "machine-check recovery abort (mabort = {rs1:#x})"
+                        )));
+                    }
+                    return Ok(CustomExec::default());
+                }
+                self.mregs.write(idx, rs1);
+                Ok(CustomExec::default())
+            }
+            Insn::Mld { offset, .. } => {
+                let addr = rs1.wrapping_add(offset as u32);
+                if let Some(syndrome) = self.mram.data_verify(addr) {
+                    return Err(Trap::new(
+                        TrapCause::MachineCheck {
+                            site: FaultSite::MramData,
+                            syndrome,
+                        },
+                        addr,
+                    ));
+                }
+                let value = self
+                    .mram
+                    .data_load(addr)
+                    .map_err(|_| Trap::new(TrapCause::LoadAccessFault, addr))?;
+                state.trace.emit(EventKind::MramData { addr, write: false });
+                Ok(CustomExec {
+                    writeback: Some(value),
+                    extra_cycles: 0,
+                })
+            }
+            Insn::Mst { offset, .. } => {
+                let addr = rs1.wrapping_add(offset as u32);
+                self.mram
+                    .data_store(addr, rs2)
+                    .map_err(|_| Trap::new(TrapCause::StoreAccessFault, addr))?;
+                state.trace.emit(EventKind::MramData { addr, write: true });
+                Ok(CustomExec::default())
+            }
+            Insn::March { op, .. } => self.exec_march(state, op, insn, rs1, rs2),
+            _ => Err(Trap::illegal(word)),
+        }
+    }
+
     fn exec_march(
         &mut self,
         state: &mut MachineState,

@@ -102,10 +102,6 @@ fn tag_bit(insn: &Insn) -> u32 {
 }
 
 impl Hooks for FuzzHooks {
-    fn fetch(&mut self, state: &mut MachineState, pc: u32) -> Option<Result<(u32, u32), Trap>> {
-        self.metal.fetch(state, pc)
-    }
-
     fn fetch_decoded(
         &mut self,
         state: &mut MachineState,
@@ -488,7 +484,7 @@ pub fn retire_pcs(events: &[Event]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grammar;
+    use crate::grammar::{self, RoutineSpec};
 
     #[test]
     fn clean_engines_agree_over_many_seeds() {
@@ -523,6 +519,31 @@ mod tests {
         let res = runner.run(&case).unwrap();
         let what = res.divergence.expect("bug must diverge");
         assert!(what.contains("core"), "{what}");
+    }
+
+    #[test]
+    fn metal_operations_reach_the_trace() {
+        // `rmr`, `mld` and `march` each record a CustomExec event (the
+        // coverage map's `march.*` feature) and every routine word is an
+        // MRAM fetch.
+        let mut runner = CaseRunner::new(BugKind::None);
+        let case = FuzzCase {
+            seed: 0,
+            routines: vec![RoutineSpec::new(
+                0,
+                "ops",
+                "rmr t0, m0\nmld t1, 0(zero)\nmtlbp t2, t0\nmexit",
+            )],
+            delegations: vec![],
+            soft_tlb: false,
+            guest: "menter 0\nebreak".to_owned(),
+        };
+        let res = runner.run(&case).unwrap();
+        assert_eq!(res.divergence, None);
+        let count =
+            |pred: fn(&EventKind) -> bool| res.core.events.iter().filter(|e| pred(&e.kind)).count();
+        assert_eq!(count(|k| matches!(k, EventKind::CustomExec { .. })), 3);
+        assert_eq!(count(|k| matches!(k, EventKind::MramFetch { .. })), 4);
     }
 
     #[test]

@@ -289,12 +289,20 @@ mod tests {
         assert_eq!(lint.routines[0].bounds_claim(), Claim::Denied);
         let mut runner = CaseRunner::new(BugKind::None);
         let result = runner.run(&case).unwrap();
-        // The store really does fault at runtime...
-        let faulted = result.core.events.iter().any(|e| {
-            matches!(e.kind, EventKind::Trap { code, pc, .. }
-                if code == CODE_STORE_FAULT && pc >= MRAM_BASE)
-        });
-        assert!(faulted, "expected a runtime MRAM store fault");
+        // The store really does fault at runtime, on both engines...
+        let store_fault = |events: &[Event]| {
+            events.iter().find_map(|e| match e.kind {
+                EventKind::Trap { code, tval, pc }
+                    if code == CODE_STORE_FAULT && pc >= MRAM_BASE =>
+                {
+                    Some((tval, pc))
+                }
+                _ => None,
+            })
+        };
+        let faulted = store_fault(&result.core.events);
+        assert!(faulted.is_some(), "expected a runtime MRAM store fault");
+        assert_eq!(store_fault(&result.interp.events), faulted);
         // ...and the oracle reports agreement, not a finding.
         let finding = check_case(&case, &result.core.events, &result.interp.events).unwrap();
         assert_eq!(finding, None);

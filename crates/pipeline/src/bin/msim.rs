@@ -19,7 +19,7 @@
 //! architectural state or cycle counts.
 
 use metal_mem::devices::{map, Console, Timer};
-use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks, TracingHooks};
+use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks};
 use metal_trace::{TraceConfig, TraceHandle};
 use metal_util::cli::{fail, parse_num, usage};
 use std::process::ExitCode;
@@ -109,14 +109,14 @@ fn main() -> ExitCode {
         metrics_path,
     };
     match engine_name.as_str() {
-        "pipeline" => run_sim::<Core<TracingHooks<NoHooks>>>(&opts),
-        "interp" => run_sim::<Interp<TracingHooks<NoHooks>>>(&opts),
+        "pipeline" => run_sim::<Core<NoHooks>>(&opts),
+        "interp" => run_sim::<Interp<NoHooks>>(&opts),
         other => usage("msim", USAGE, &format!("unknown engine {other:?}")),
     }
 }
 
-fn run_sim<E: Engine<Hooks = TracingHooks<NoHooks>>>(opts: &Opts) -> ExitCode {
-    let mut machine = E::new(CoreConfig::default(), TracingHooks::new(NoHooks));
+fn run_sim<E: Engine<Hooks = NoHooks>>(opts: &Opts) -> ExitCode {
+    let mut machine = E::new(CoreConfig::default(), NoHooks);
     if opts.trace_path.is_some() {
         machine
             .state_mut()

@@ -5,12 +5,13 @@
 //! so the two can run the same program side by side; the differential
 //! property tests assert architectural-state equality.
 
-use crate::hooks::{DecodeOutcome, Hooks, NoHooks, TrapDisposition, TrapEvent};
+use crate::hooks::{DecodeOutcome, Hooks, NoHooks, TrapDisposition, TrapEvent, MAX_REPLACE_CHAIN};
 use crate::state::{CoreConfig, HaltReason, MachineState};
 use crate::trap::TrapCause;
+use metal_isa::csr;
 use metal_isa::insn::{CsrOp, CsrSrc, Insn};
 use metal_isa::reg::Reg;
-use metal_isa::{csr, decode_to};
+use metal_trace::EventKind;
 
 /// The reference interpreter.
 pub struct Interp<H: Hooks = NoHooks> {
@@ -53,6 +54,11 @@ impl<H: Hooks> Interp<H> {
         } else {
             self.state.perf.exceptions += 1;
         }
+        self.state.trace.emit(EventKind::Trap {
+            code: cause.code(),
+            tval,
+            pc,
+        });
         let event = TrapEvent { cause, tval, pc };
         match self.hooks.on_trap(&mut self.state, &event) {
             TrapDisposition::Default => {
@@ -98,6 +104,7 @@ impl<H: Hooks> Interp<H> {
         // One "cycle" per step so devices make progress.
         self.state.perf.cycles += 1;
         let cycle = self.state.perf.cycles;
+        self.state.trace.set_now(cycle);
         self.state.perf.mip_snapshot = self.state.bus.tick(cycle);
 
         if let Some(line) = self.pending_interrupt() {
@@ -130,7 +137,7 @@ impl<H: Hooks> Interp<H> {
         // (an mexit's return stream may begin with another menter).
         let mut cur_pc = pc;
         let mut cur = decoded;
-        for _ in 0..16 {
+        for _ in 0..MAX_REPLACE_CHAIN {
             match self
                 .hooks
                 .decode(&mut self.state, cur_pc, cur.word, &cur.insn)
@@ -140,18 +147,15 @@ impl<H: Hooks> Interp<H> {
                     return;
                 }
                 DecodeOutcome::Replace {
-                    word: word2,
-                    pc: pc2,
-                    ..
+                    decoded, pc: pc2, ..
                 } => {
                     self.state.perf.metal_entries += 1;
-                    let d2 = decode_to(word2);
-                    if d2.is_illegal() {
-                        self.handle_trap(TrapCause::IllegalInstruction, word2, pc2);
+                    if decoded.is_illegal() {
+                        self.handle_trap(TrapCause::IllegalInstruction, decoded.word, pc2);
                         return;
                     }
                     cur_pc = pc2;
-                    cur = d2;
+                    cur = decoded;
                 }
                 DecodeOutcome::Fault {
                     trap,

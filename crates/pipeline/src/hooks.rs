@@ -5,13 +5,23 @@
 //! building blocks and let software build the rest. This trait is the
 //! simulator's rendering of that boundary: the pipeline implements the
 //! base ISA and calls out at exactly the points where Metal attaches —
-//! instruction fetch (MRAM), decode (menter/mexit replacement and
-//! interception), execute (the Metal instructions), and trap delivery
-//! (delegation to mroutines).
+//! instruction fetch (one pre-decoded fetch hook, for MRAM), decode
+//! (menter/mexit replacement and interception), execute (the Metal
+//! instructions), and trap delivery (delegation to mroutines).
+//!
+//! The boundary carries no tracing of its own: the engines emit the
+//! pipeline-level events, and an extension emits its own (Metal records
+//! MRAM fetches, custom-instruction execution and transitions), so
+//! observing a run never needs a wrapper around the hooks.
 
 use crate::state::MachineState;
 use crate::trap::{Trap, TrapCause};
-use metal_isa::{decode_to, DecodedInsn, Insn};
+use metal_isa::{DecodedInsn, Insn};
+
+/// Maximum chained decode-slot replacements for one fetched instruction
+/// before an engine declares a runaway and raises an illegal-instruction
+/// trap. Shared by both engines so they give up at the same point.
+pub(crate) const MAX_REPLACE_CHAIN: usize = 16;
 
 /// What the decode-stage hook decided about an instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,8 +31,10 @@ pub enum DecodeOutcome {
     /// Replace the instruction in the decode slot (the `menter`/`mexit`
     /// fast path, paper §2.2, and instruction interception, §2.3).
     Replace {
-        /// The instruction word now occupying the decode slot.
-        word: u32,
+        /// The instruction now occupying the decode slot, pre-decoded
+        /// (MRAM holds its code in this form, so no engine re-decodes a
+        /// replacement).
+        decoded: DecodedInsn,
         /// The PC to attribute to the replacement (its own address).
         pc: u32,
         /// Where fetch continues after the replacement.
@@ -84,29 +96,18 @@ pub struct CustomExec {
 /// Extension hooks. The baseline core uses [`NoHooks`]; `metal-core`
 /// provides the Metal implementation.
 pub trait Hooks {
-    /// Overrides instruction fetch at `pc`. Returning `Some((word,
+    /// Overrides instruction fetch at `pc`. Returning `Some((insn,
     /// latency))` bypasses translation, the I-cache, and the bus — this
-    /// is how MRAM-resident mroutines are fetched. `Err` faults the
-    /// fetch.
-    fn fetch(&mut self, state: &mut MachineState, pc: u32) -> Option<Result<(u32, u32), Trap>> {
-        let _ = (state, pc);
-        None
-    }
-
-    /// Pre-decoded variant of [`Hooks::fetch`] — the entry point both
-    /// engines actually use. The default wraps `fetch` and decodes the
-    /// word; extensions that hold pre-decoded code (MRAM) override this
-    /// to skip the per-fetch decode entirely. Implementations must stay
-    /// consistent with `fetch`: same `Some`/`None`/`Err` decisions, and
-    /// a returned `DecodedInsn` whose `word` is what `fetch` would
-    /// return.
+    /// is how MRAM-resident mroutines are fetched, already decoded. `Err`
+    /// faults the fetch; `None` falls through to
+    /// [`MachineState::fetch_decoded`].
     fn fetch_decoded(
         &mut self,
         state: &mut MachineState,
         pc: u32,
     ) -> Option<Result<(DecodedInsn, u32), Trap>> {
-        self.fetch(state, pc)
-            .map(|r| r.map(|(word, latency)| (decode_to(word), latency)))
+        let _ = (state, pc);
+        None
     }
 
     /// True if [`Hooks::decode`] would do more than `Pass` for this
@@ -181,7 +182,7 @@ mod tests {
     fn nohooks_defaults() {
         let mut h = NoHooks;
         let mut m = MachineState::new(&CoreConfig::default());
-        assert!(h.fetch(&mut m, 0).is_none());
+        assert!(h.fetch_decoded(&mut m, 0).is_none());
         assert!(h.interrupts_allowed(&m));
         let insn = Insn::Mexit;
         assert_eq!(h.decode(&mut m, 0, 0, &insn), DecodeOutcome::Pass);

@@ -10,7 +10,8 @@
 //! * [`engine::Engine`] — the common trait over both engines
 //!   (construct / load / run / inspect), so harnesses are written once.
 //! * [`hooks::Hooks`] — the extension interface Metal attaches to
-//!   (fetch, decode replacement, custom execute, trap delegation).
+//!   (pre-decoded fetch, decode replacement, custom execute, trap
+//!   delegation).
 //!
 //! Both engines fetch through [`state::DecodeCache`], a shared
 //! physical-address-keyed cache of pre-decoded instructions kept
@@ -25,7 +26,6 @@ pub mod func;
 pub mod hooks;
 pub mod pipeline;
 pub mod state;
-pub mod tracing;
 pub mod trap;
 
 pub use engine::{Engine, EngineSnapshot};
@@ -36,5 +36,4 @@ pub use state::{
     CoreConfig, CsrFile, DecodeCache, HaltReason, MachineSnapshot, MachineState, PerfCounters,
     RegFile, TranslationMode,
 };
-pub use tracing::TracingHooks;
 pub use trap::{Trap, TrapCause, MACHINE_CHECK_BASE};

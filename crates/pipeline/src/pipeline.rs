@@ -20,17 +20,13 @@
 //!   place and fetch is redirected with *zero* bubbles when the
 //!   replacement source is 1-cycle (MRAM).
 
-use crate::hooks::{DecodeOutcome, Hooks, TrapDisposition, TrapEvent};
+use crate::hooks::{DecodeOutcome, Hooks, TrapDisposition, TrapEvent, MAX_REPLACE_CHAIN};
 use crate::state::{CoreConfig, HaltReason, MachineState};
 use crate::trap::{Trap, TrapCause};
 use metal_isa::insn::{CsrOp, CsrSrc, Insn, MulOp};
 use metal_isa::reg::Reg;
 use metal_isa::{csr, decode_to, DecodedInsn};
 use metal_trace::{EventKind, StallKind};
-
-/// Maximum chained decode-slot replacements in one cycle before the
-/// pipeline declares a runaway and faults.
-const MAX_REPLACE_CHAIN: usize = 16;
 
 /// IF → ID latch. Fetch delivers instructions pre-decoded (the decode
 /// cache does the word→[`DecodedInsn`] work at most once per word); ID
@@ -632,7 +628,7 @@ impl<H: Hooks> Core<H> {
         let mut cur_pc = f.pc;
         let mut cur = f.decoded;
         let mut total_stall = 0u32;
-        for round in 0..MAX_REPLACE_CHAIN {
+        for _ in 0..MAX_REPLACE_CHAIN {
             match self
                 .hooks
                 .decode(&mut self.state, cur_pc, cur.word, &cur.insn)
@@ -657,7 +653,7 @@ impl<H: Hooks> Core<H> {
                     return;
                 }
                 DecodeOutcome::Replace {
-                    word,
+                    decoded,
                     pc,
                     next_fetch,
                     stall,
@@ -673,16 +669,15 @@ impl<H: Hooks> Core<H> {
                     });
                     total_stall += stall;
                     cur_pc = pc;
-                    cur = decode_to(word);
+                    cur = decoded;
                     if cur.is_illegal() {
                         self.id_ex = Some(IdEx {
                             pc,
                             decoded: cur,
-                            fault: Some(Trap::illegal(word)),
+                            fault: Some(Trap::illegal(cur.word)),
                         });
                         return;
                     }
-                    let _ = round;
                 }
                 DecodeOutcome::Fault { trap, pc } => {
                     self.if_id = None;

@@ -582,12 +582,6 @@ impl MachineState {
         Trap::new(cause, addr)
     }
 
-    /// Fetches an instruction word. Returns the word and the fetch
-    /// latency in cycles (icache hit = 1).
-    pub fn fetch(&mut self, pc: u32) -> Result<(u32, u32), Trap> {
-        self.fetch_decoded(pc).map(|(d, latency)| (d.word, latency))
-    }
-
     /// Charges the icache model for the fetch of `pa` and emits the
     /// access event — identical on decode-cache hits and misses.
     #[inline]
@@ -863,14 +857,17 @@ mod tests {
             m.store(0x102, StoreOp::Sw, 0).unwrap_err().cause,
             TrapCause::StoreMisaligned
         );
-        assert_eq!(m.fetch(0x2).unwrap_err().cause, TrapCause::InsnMisaligned);
+        assert_eq!(
+            m.fetch_decoded(0x2).unwrap_err().cause,
+            TrapCause::InsnMisaligned
+        );
     }
 
     #[test]
     fn fetch_from_mmio_faults() {
         let mut m = machine();
         assert_eq!(
-            m.fetch(MMIO_BASE).unwrap_err().cause,
+            m.fetch_decoded(MMIO_BASE).unwrap_err().cause,
             TrapCause::InsnAccessFault
         );
     }

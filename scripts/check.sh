@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build --release (perfbench)"
+# perfbench is its own workspace, so the build above does not compile
+# it; a hook-API change must not silently break the benchmark.
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

@@ -1,9 +1,9 @@
 //! The observability layer's two contracts, tested end to end:
 //!
-//! 1. **Zero perturbation** — running with full tracing enabled (and
-//!    the `TracingHooks` decorator installed) yields bit-identical
-//!    architectural state and identical cycle counts to the untraced
-//!    run. Observation must never change what is observed.
+//! 1. **Zero perturbation** — running with full tracing enabled (Metal
+//!    emitting its own MRAM-fetch and custom-execute events) yields
+//!    bit-identical architectural state and identical cycle counts to
+//!    the untraced run. Observation must never change what is observed.
 //! 2. **Well-formed export** — the Chrome trace-event JSON parses, its
 //!    timestamps are monotonically non-decreasing, duration events are
 //!    balanced, and the transition events the Metal workload generates
@@ -12,7 +12,7 @@
 use metal_core::{Metal, MetalBuilder};
 use metal_isa::reg::Reg;
 use metal_pipeline::state::CoreConfig;
-use metal_pipeline::{Core, TracingHooks};
+use metal_pipeline::Core;
 use metal_trace::{Detail, TraceConfig, TraceHandle};
 use metal_util::{Json, Rng};
 
@@ -50,8 +50,8 @@ fn build_metal() -> Metal {
     metal
 }
 
-fn run(metal: Metal, image: &[u8], trace: Option<TraceHandle>) -> Core<TracingHooks<Metal>> {
-    let mut core = Core::new(CoreConfig::default(), TracingHooks::new(metal));
+fn run(metal: Metal, image: &[u8], trace: Option<TraceHandle>) -> Core<Metal> {
+    let mut core = Core::new(CoreConfig::default(), metal);
     if let Some(handle) = trace {
         core.state.set_trace(handle);
     }
@@ -60,7 +60,7 @@ fn run(metal: Metal, image: &[u8], trace: Option<TraceHandle>) -> Core<TracingHo
     core
 }
 
-/// Tracing (full detail, decorator installed) never perturbs the
+/// Tracing (full detail) never perturbs the
 /// simulation: identical registers, memory, cycle counts, retirement
 /// counts, and Metal-side state.
 #[test]
@@ -92,17 +92,15 @@ fn tracing_is_zero_perturbation() {
             "case {case}: registers diverged\nguest:\n{src}"
         );
         assert_eq!(plain.state.halted, traced.state.halted, "case {case}");
-        let dump = |core: &Core<TracingHooks<Metal>>| {
-            core.state.bus.ram.dump(0x8000, 64 * 4).unwrap().to_vec()
-        };
+        let dump = |core: &Core<Metal>| core.state.bus.ram.dump(0x8000, 64 * 4).unwrap().to_vec();
         assert_eq!(dump(&plain), dump(&traced), "case {case}: memory diverged");
         assert_eq!(
-            plain.hooks.inner.mram.data(),
-            traced.hooks.inner.mram.data(),
+            plain.hooks.mram.data(),
+            traced.hooks.mram.data(),
             "case {case}: MRAM diverged"
         );
         assert_eq!(
-            plain.hooks.inner.stats, traced.hooks.inner.stats,
+            plain.hooks.stats, traced.hooks.stats,
             "case {case}: Metal stats diverged"
         );
         // The traced run actually recorded something.
@@ -197,7 +195,7 @@ fn metrics_snapshot_is_complete() {
     assert_eq!(core.state.regs.get(Reg::S1), 0);
 
     let mut snap = core.state.metrics_snapshot();
-    core.hooks.inner.publish_metrics(&mut snap);
+    core.hooks.publish_metrics(&mut snap);
 
     assert_eq!(snap.counter("cycles"), Some(core.state.perf.cycles));
     assert_eq!(snap.counter("instret"), Some(core.state.perf.instret));
