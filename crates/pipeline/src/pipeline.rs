@@ -26,21 +26,13 @@ use crate::trap::{Trap, TrapCause};
 use metal_isa::insn::{CsrOp, CsrSrc, Insn, MulOp};
 use metal_isa::reg::Reg;
 use metal_isa::{csr, decode_to, DecodedInsn};
-use metal_trace::{EventKind, StallKind};
+use metal_trace::{EventKind, StallKind, TraceHandle};
 
-/// IF → ID latch. Fetch delivers instructions pre-decoded (the decode
-/// cache does the word→[`DecodedInsn`] work at most once per word); ID
-/// keeps only the hazard checks and the extension decode hook.
+/// IF → ID and ID → EX latch. Fetch delivers instructions pre-decoded
+/// (the decode cache does the word→[`DecodedInsn`] work at most once per
+/// word); ID keeps only the hazard checks and the extension decode hook.
 #[derive(Clone, Copy, Debug)]
-struct IfId {
-    pc: u32,
-    decoded: DecodedInsn,
-    fault: Option<Trap>,
-}
-
-/// ID → EX latch.
-#[derive(Clone, Copy, Debug)]
-struct IdEx {
+struct Slot {
     pc: u32,
     decoded: DecodedInsn,
     fault: Option<Trap>,
@@ -52,11 +44,9 @@ struct ExMem {
     pc: u32,
     decoded: DecodedInsn,
     /// Memory address for loads/stores; writeback value otherwise.
-    alu: u32,
+    value: u32,
     /// Store data (resolved in EX).
     store_val: u32,
-    /// Writeback value if already known in EX.
-    wb: Option<u32>,
 }
 
 /// MEM → WB latch.
@@ -68,6 +58,65 @@ struct MemWb {
     value: u32,
 }
 
+/// One stage boundary: the latch the producing stage hands on, and the
+/// cycles that stage still needs before the next stage may take it.
+/// A latched value stays in place (and injectable) while `busy > 0`.
+struct Stage<T> {
+    latch: Option<T>,
+    busy: u32,
+}
+
+impl<T> Stage<T> {
+    const EMPTY: Stage<T> = Stage {
+        latch: None,
+        busy: 0,
+    };
+
+    /// The latched value, once the producing stage has finished it.
+    fn ready(&self) -> Option<&T> {
+        self.latch.as_ref().filter(|_| self.busy == 0)
+    }
+
+    /// Takes the latched value, once the producing stage has finished it.
+    fn take_ready(&mut self) -> Option<T> {
+        if self.busy == 0 {
+            self.latch.take()
+        } else {
+            None
+        }
+    }
+
+    /// Latches `value`, ready after `extra` more cycles.
+    fn put(&mut self, value: T, extra: u32, trace: &TraceHandle, kind: StallKind) {
+        self.latch = Some(value);
+        self.hold(extra, trace, kind);
+    }
+
+    /// Keeps the stage busy for `cycles` (emitting a `kind` stall event
+    /// when `cycles > 0`).
+    fn hold(&mut self, cycles: u32, trace: &TraceHandle, kind: StallKind) {
+        self.busy = cycles;
+        if cycles > 0 {
+            trace.emit(EventKind::Stall { kind, cycles });
+        }
+    }
+
+    /// Spends one busy cycle, charging it to `stalls`. Returns false
+    /// (and does nothing) when the stage is not busy.
+    fn count_down(&mut self, stalls: &mut u64) -> bool {
+        if self.busy == 0 {
+            return false;
+        }
+        self.busy -= 1;
+        *stalls += 1;
+        true
+    }
+
+    fn is_empty(&self) -> bool {
+        self.latch.is_none() && self.busy == 0
+    }
+}
+
 /// The pipelined core, generic over the extension hooks.
 pub struct Core<H: Hooks> {
     /// Shared machine state (registers, memory system, CSRs, counters).
@@ -76,18 +125,10 @@ pub struct Core<H: Hooks> {
     pub hooks: H,
     config: CoreConfig,
     pc: u32,
-    if_id: Option<IfId>,
-    if_pending: Option<IfId>,
-    if_busy: u32,
-    id_ex: Option<IdEx>,
-    id_hold: Option<IdEx>,
-    id_stall: u32,
-    ex_mem: Option<ExMem>,
-    ex_hold: Option<ExMem>,
-    ex_busy: u32,
-    mem_wb: Option<MemWb>,
-    mem_hold: Option<MemWb>,
-    mem_busy: u32,
+    if_id: Stage<Slot>,
+    id_ex: Stage<Slot>,
+    ex_mem: Stage<ExMem>,
+    mem_wb: Stage<MemWb>,
     wfi: bool,
 }
 
@@ -100,18 +141,10 @@ impl<H: Hooks> Core<H> {
             hooks,
             pc: config.reset_pc,
             config,
-            if_id: None,
-            if_pending: None,
-            if_busy: 0,
-            id_ex: None,
-            id_hold: None,
-            id_stall: 0,
-            ex_mem: None,
-            ex_hold: None,
-            ex_busy: 0,
-            mem_wb: None,
-            mem_hold: None,
-            mem_busy: 0,
+            if_id: Stage::EMPTY,
+            id_ex: Stage::EMPTY,
+            ex_mem: Stage::EMPTY,
+            mem_wb: Stage::EMPTY,
             wfi: false,
         }
     }
@@ -132,30 +165,18 @@ impl<H: Hooks> Core<H> {
     /// in-flight instructions.
     pub fn set_pc(&mut self, pc: u32) {
         self.pc = pc;
-        self.squash_frontend();
-        self.id_ex = None;
-        self.id_hold = None;
-        self.id_stall = 0;
-        self.ex_mem = None;
-        self.ex_hold = None;
-        self.ex_busy = 0;
-        self.mem_wb = None;
-        self.mem_hold = None;
-        self.mem_busy = 0;
+        self.if_id = Stage::EMPTY;
+        self.id_ex = Stage::EMPTY;
+        self.ex_mem = Stage::EMPTY;
+        self.mem_wb = Stage::EMPTY;
         self.wfi = false;
     }
 
-    fn squash_frontend(&mut self) {
-        self.if_id = None;
-        self.if_pending = None;
-        self.if_busy = 0;
-    }
-
+    /// Redirects fetch from EX or a trap, squashing IF and ID.
     fn flush_for_redirect(&mut self, target: u32) {
         self.pc = target;
-        self.squash_frontend();
-        self.id_hold = None;
-        self.id_stall = 0;
+        self.if_id = Stage::EMPTY;
+        self.id_ex = Stage::EMPTY;
         self.state.perf.flush_cycles += 2;
         self.state.trace.emit(EventKind::Flush { target });
     }
@@ -190,32 +211,19 @@ impl<H: Hooks> Core<H> {
             }
             TrapDisposition::Redirect { target, stall } => {
                 self.flush_for_redirect(target);
-                self.if_busy = 0;
-                self.id_stall = stall;
-                if stall > 0 {
-                    self.state.trace.emit(EventKind::Stall {
-                        kind: StallKind::Decode,
-                        cycles: stall,
-                    });
-                }
+                // ID counts the delegation stall down with an empty latch.
+                self.id_ex.hold(stall, &self.state.trace, StallKind::Decode);
                 self.state.perf.metal_entries += 1;
             }
             TrapDisposition::Fatal => {
                 self.state.halted = Some(HaltReason::Fatal(format!(
                     "unhandled trap {cause} at pc {pc:#010x} (tval {tval:#010x})"
                 )));
+                // Squash everything younger than the trap point.
+                self.if_id = Stage::EMPTY;
+                self.id_ex.latch = None;
             }
         }
-        // Squash everything younger than the trap point.
-        self.id_ex = None;
-        self.squash_id_flush_keep_stall();
-    }
-
-    fn squash_id_flush_keep_stall(&mut self) {
-        self.if_id = None;
-        self.if_pending = None;
-        self.if_busy = 0;
-        self.id_hold = None;
     }
 
     /// Forwards a register read at EX: the youngest completed value wins
@@ -224,17 +232,10 @@ impl<H: Hooks> Core<H> {
         if r == Reg::ZERO {
             return 0;
         }
-        if let Some(wb) = &self.mem_wb {
-            if wb.rd == Some(r) {
-                return wb.value;
-            }
+        match &self.mem_wb.latch {
+            Some(wb) if wb.rd == Some(r) => wb.value,
+            _ => self.state.regs.get(r),
         }
-        if let Some(hold) = &self.mem_hold {
-            if hold.rd == Some(r) {
-                return hold.value;
-            }
-        }
-        self.state.regs.get(r)
     }
 
     /// Lowest pending, enabled interrupt line, if delivery is allowed.
@@ -264,35 +265,29 @@ impl<H: Hooks> Core<H> {
 
         // Snapshot for load-use hazard detection: the instruction that
         // executes in EX *this* tick.
-        let ex_load_rd = self.id_ex.as_ref().and_then(|d| {
-            if d.decoded.tag.is_load() {
-                d.decoded.dest
-            } else {
-                None
-            }
-        });
+        let ex_load_rd = self
+            .id_ex
+            .ready()
+            .and_then(|d| d.decoded.dest.filter(|_| d.decoded.tag.is_load()));
 
         // ---------------- WB ----------------
-        if let Some(wb) = self.mem_wb.take() {
+        if let Some(wb) = self.mem_wb.take_ready() {
             if let Some(rd) = wb.rd {
                 self.state.regs.set(rd, wb.value);
             }
             self.state.perf.instret += 1;
-            let insn = wb.insn;
-            let pc = wb.pc;
-            self.state.trace.emit(EventKind::Retire { pc });
-            self.hooks.on_retire(&mut self.state, pc, &insn);
+            self.state.trace.emit(EventKind::Retire { pc: wb.pc });
+            self.hooks.on_retire(&mut self.state, wb.pc, &wb.insn);
         }
 
         // ---------------- MEM ----------------
         let mut flushed = false;
-        if self.mem_busy > 0 {
-            self.mem_busy -= 1;
-            self.state.perf.mem_stall += 1;
-            if self.mem_busy == 0 {
-                self.mem_wb = self.mem_hold.take();
-            }
-        } else if let Some(xm) = self.ex_mem.take() {
+        let mem_in = if self.mem_wb.count_down(&mut self.state.perf.mem_stall) {
+            None
+        } else {
+            self.ex_mem.take_ready()
+        };
+        if let Some(xm) = mem_in {
             match self.run_mem(&xm) {
                 Ok((value, extra)) => {
                     let latch = MemWb {
@@ -301,16 +296,8 @@ impl<H: Hooks> Core<H> {
                         rd: xm.decoded.dest,
                         value,
                     };
-                    if extra == 0 {
-                        self.mem_wb = Some(latch);
-                    } else {
-                        self.mem_hold = Some(latch);
-                        self.mem_busy = extra;
-                        self.state.trace.emit(EventKind::Stall {
-                            kind: StallKind::Mem,
-                            cycles: extra,
-                        });
-                    }
+                    self.mem_wb
+                        .put(latch, extra, &self.state.trace, StallKind::Mem);
                 }
                 Err(trap) => {
                     self.take_trap(trap.cause, trap.tval, xm.pc);
@@ -320,34 +307,23 @@ impl<H: Hooks> Core<H> {
         }
 
         // ---------------- EX ----------------
-        if !flushed {
-            if self.ex_busy > 0 {
-                self.ex_busy -= 1;
-                self.state.perf.ex_stall += 1;
-                if self.ex_busy == 0 {
-                    self.ex_mem = self.ex_hold.take();
-                }
-            } else if self.mem_busy == 0 && self.ex_mem.is_none() {
-                if let Some(d) = self.id_ex.take() {
-                    flushed = self.run_ex(d);
-                }
+        if !flushed
+            && !self.ex_mem.count_down(&mut self.state.perf.ex_stall)
+            && self.mem_wb.busy == 0
+            && self.ex_mem.latch.is_none()
+        {
+            if let Some(d) = self.id_ex.take_ready() {
+                flushed = self.run_ex(d);
             }
         }
 
         // ---------------- ID ----------------
-        if !flushed {
-            if self.id_stall > 0 {
-                self.id_stall -= 1;
-                self.state.perf.fetch_stall += 1;
-                if self.id_stall == 0 && self.id_ex.is_none() {
-                    self.id_ex = self.id_hold.take();
-                }
-            } else if self.id_ex.is_none() {
-                if let Some(held) = self.id_hold.take() {
-                    self.id_ex = Some(held);
-                } else if let Some(f) = self.if_id {
-                    self.run_id(f, ex_load_rd);
-                }
+        if !flushed
+            && !self.id_ex.count_down(&mut self.state.perf.fetch_stall)
+            && self.id_ex.latch.is_none()
+        {
+            if let Some(&f) = self.if_id.ready() {
+                self.run_id(f, ex_load_rd);
             }
         }
 
@@ -362,58 +338,49 @@ impl<H: Hooks> Core<H> {
     fn run_mem(&mut self, xm: &ExMem) -> Result<(u32, u32), Trap> {
         match xm.decoded.insn {
             Insn::Load { op, .. } => {
-                let (value, lat) = self.state.load(xm.alu, op)?;
+                let (value, lat) = self.state.load(xm.value, op)?;
                 Ok((value, lat.saturating_sub(1)))
             }
             Insn::Store { op, .. } => {
-                let lat = self.state.store(xm.alu, op, xm.store_val)?;
+                let lat = self.state.store(xm.value, op, xm.store_val)?;
                 Ok((0, lat.saturating_sub(1)))
             }
-            _ => Ok((xm.wb.unwrap_or(0), 0)),
+            _ => Ok((xm.value, 0)),
         }
     }
 
     /// EX-stage work. Returns true if the pipeline was flushed (trap or
     /// redirect).
     #[allow(clippy::too_many_lines)]
-    fn run_ex(&mut self, d: IdEx) -> bool {
+    fn run_ex(&mut self, d: Slot) -> bool {
         if let Some(trap) = d.fault {
             self.take_trap(trap.cause, trap.tval, d.pc);
             return true;
         }
-        let push = |core: &mut Core<H>, wb: Option<u32>, alu: u32, store_val: u32, extra: u32| {
+        let push = |core: &mut Core<H>, value: u32, store_val: u32, extra: u32| {
             let latch = ExMem {
                 pc: d.pc,
                 decoded: d.decoded,
-                alu,
+                value,
                 store_val,
-                wb,
             };
-            if extra == 0 {
-                core.ex_mem = Some(latch);
-            } else {
-                core.ex_hold = Some(latch);
-                core.ex_busy = extra;
-                core.state.trace.emit(EventKind::Stall {
-                    kind: StallKind::Ex,
-                    cycles: extra,
-                });
-            }
+            core.ex_mem
+                .put(latch, extra, &core.state.trace, StallKind::Ex);
         };
         match d.decoded.insn {
             Insn::Lui { imm20, .. } => {
-                push(self, Some(imm20 << 12), 0, 0, 0);
+                push(self, imm20 << 12, 0, 0);
             }
             Insn::Auipc { imm20, .. } => {
-                push(self, Some(d.pc.wrapping_add(imm20 << 12)), 0, 0, 0);
+                push(self, d.pc.wrapping_add(imm20 << 12), 0, 0);
             }
             Insn::AluImm { op, rs1, imm, .. } => {
                 let v = op.eval(self.forward(rs1), imm as u32);
-                push(self, Some(v), 0, 0, 0);
+                push(self, v, 0, 0);
             }
             Insn::Alu { op, rs1, rs2, .. } => {
                 let v = op.eval(self.forward(rs1), self.forward(rs2));
-                push(self, Some(v), 0, 0, 0);
+                push(self, v, 0, 0);
             }
             Insn::MulDiv { op, rs1, rs2, .. } => {
                 let v = op.eval(self.forward(rs1), self.forward(rs2));
@@ -423,30 +390,30 @@ impl<H: Hooks> Core<H> {
                     }
                     _ => self.config.div_latency,
                 };
-                push(self, Some(v), 0, 0, extra);
+                push(self, v, 0, extra);
             }
             Insn::Load { rs1, offset, .. } => {
                 let addr = self.forward(rs1).wrapping_add(offset as u32);
-                push(self, None, addr, 0, 0);
+                push(self, addr, 0, 0);
             }
             Insn::Store {
                 rs1, rs2, offset, ..
             } => {
                 let addr = self.forward(rs1).wrapping_add(offset as u32);
                 let val = self.forward(rs2);
-                push(self, None, addr, val, 0);
+                push(self, addr, val, 0);
             }
             Insn::Jal { offset, .. } => {
                 let link = d.pc.wrapping_add(4);
                 let target = d.pc.wrapping_add(offset as u32);
-                push(self, Some(link), 0, 0, 0);
+                push(self, link, 0, 0);
                 self.flush_for_redirect(target);
                 return true;
             }
             Insn::Jalr { rs1, offset, .. } => {
                 let link = d.pc.wrapping_add(4);
                 let target = self.forward(rs1).wrapping_add(offset as u32) & !1;
-                push(self, Some(link), 0, 0, 0);
+                push(self, link, 0, 0);
                 self.flush_for_redirect(target);
                 return true;
             }
@@ -457,7 +424,7 @@ impl<H: Hooks> Core<H> {
                 offset,
             } => {
                 let taken = cond.eval(self.forward(rs1), self.forward(rs2));
-                push(self, None, 0, 0, 0);
+                push(self, 0, 0, 0);
                 if taken {
                     let target = d.pc.wrapping_add(offset as u32);
                     self.flush_for_redirect(target);
@@ -486,7 +453,7 @@ impl<H: Hooks> Core<H> {
                         return true;
                     }
                 }
-                push(self, Some(old), 0, 0, 0);
+                push(self, old, 0, 0);
             }
             Insn::Ecall => {
                 self.take_trap(TrapCause::Ecall, 0, d.pc);
@@ -495,8 +462,8 @@ impl<H: Hooks> Core<H> {
             Insn::Ebreak => {
                 // Halt only once every older instruction has written back,
                 // so the architectural state (notably `a0`) is final.
-                if self.mem_wb.is_some() {
-                    self.id_ex = Some(d);
+                if self.mem_wb.latch.is_some() {
+                    self.id_ex.latch = Some(d);
                     return false;
                 }
                 self.state.halted = Some(HaltReason::Ebreak {
@@ -513,18 +480,18 @@ impl<H: Hooks> Core<H> {
                     self.state.csr.mstatus |= csr::MSTATUS_MIE;
                 }
                 let target = self.state.csr.mepc;
-                push(self, None, 0, 0, 0);
+                push(self, 0, 0, 0);
                 self.flush_for_redirect(target);
                 return true;
             }
             Insn::Wfi => {
                 self.wfi = true;
-                push(self, None, 0, 0, 0);
+                push(self, 0, 0, 0);
                 self.flush_for_redirect(d.pc.wrapping_add(4));
                 return true;
             }
             Insn::Fence => {
-                push(self, None, 0, 0, 0);
+                push(self, 0, 0, 0);
             }
             // Metal instructions reach EX only when the decode hook let
             // them pass (rmr/wmr/mld/mst/march in Metal mode) or under
@@ -542,7 +509,7 @@ impl<H: Hooks> Core<H> {
                     rs2,
                 ) {
                     Ok(result) => {
-                        push(self, result.writeback, 0, 0, result.extra_cycles);
+                        push(self, result.writeback.unwrap_or(0), 0, result.extra_cycles);
                     }
                     Err(trap) => {
                         self.take_trap(trap.cause, trap.tval, d.pc);
@@ -557,23 +524,14 @@ impl<H: Hooks> Core<H> {
     /// ID-stage work: hazard checks and the extension decode hook. The
     /// word was already decoded at fetch (via the decode cache), so the
     /// stage re-inspects nothing.
-    fn run_id(&mut self, f: IfId, ex_load_rd: Option<Reg>) {
-        if let Some(trap) = f.fault {
-            self.if_id = None;
-            self.id_ex = Some(IdEx {
-                pc: f.pc,
-                decoded: f.decoded,
-                fault: Some(trap),
-            });
-            return;
-        }
-        if f.decoded.is_illegal() {
-            self.if_id = None;
-            self.id_ex = Some(IdEx {
-                pc: f.pc,
-                decoded: f.decoded,
-                fault: Some(Trap::illegal(f.decoded.word)),
-            });
+    fn run_id(&mut self, f: Slot, ex_load_rd: Option<Reg>) {
+        let fault = f.fault.or_else(|| {
+            f.decoded
+                .is_illegal()
+                .then(|| Trap::illegal(f.decoded.word))
+        });
+        if let Some(trap) = fault {
+            self.id_fault(f.pc, f.decoded, trap);
             return;
         }
         // Load-use hazard: one bubble.
@@ -597,25 +555,20 @@ impl<H: Hooks> Core<H> {
         {
             let older_may_fault = self
                 .ex_mem
-                .as_ref()
+                .ready()
                 .is_some_and(|x| x.decoded.tag.may_fault());
-            let reads_gpr_at_decode = matches!(
-                f.decoded.insn,
+            // An indirect `menter` reads its GPR at decode, so it waits
+            // for any older write to that register still in flight.
+            let gpr_in_flight = match f.decoded.insn {
                 Insn::Menter {
                     entry: metal_isa::metal::MENTER_INDIRECT,
-                    ..
+                    rs1,
+                } => {
+                    let hit = |rd: Option<Reg>| rd == Some(rs1);
+                    hit(self.ex_mem.latch.as_ref().and_then(|l| l.decoded.dest))
+                        || hit(self.mem_wb.latch.as_ref().and_then(|l| l.rd))
                 }
-            );
-            let gpr_in_flight = reads_gpr_at_decode && {
-                let rs1 = match f.decoded.insn {
-                    Insn::Menter { rs1, .. } => rs1,
-                    _ => Reg::ZERO,
-                };
-                let hit = |i: Option<Reg>| i == Some(rs1);
-                hit(self.ex_hold.as_ref().and_then(|l| l.decoded.dest))
-                    || hit(self.ex_mem.as_ref().and_then(|l| l.decoded.dest))
-                    || hit(self.mem_hold.as_ref().and_then(|l| l.rd))
-                    || hit(self.mem_wb.as_ref().and_then(|l| l.rd))
+                _ => false,
             };
             if older_may_fault || gpr_in_flight {
                 return; // keep if_id; bubble into EX
@@ -634,22 +587,14 @@ impl<H: Hooks> Core<H> {
                 .decode(&mut self.state, cur_pc, cur.word, &cur.insn)
             {
                 DecodeOutcome::Pass => {
-                    self.if_id = None;
-                    let latch = IdEx {
+                    self.if_id.latch = None;
+                    let latch = Slot {
                         pc: cur_pc,
                         decoded: cur,
                         fault: None,
                     };
-                    if total_stall == 0 {
-                        self.id_ex = Some(latch);
-                    } else {
-                        self.id_hold = Some(latch);
-                        self.id_stall = total_stall;
-                        self.state.trace.emit(EventKind::Stall {
-                            kind: StallKind::Decode,
-                            cycles: total_stall,
-                        });
-                    }
+                    self.id_ex
+                        .put(latch, total_stall, &self.state.trace, StallKind::Decode);
                     return;
                 }
                 DecodeOutcome::Replace {
@@ -658,9 +603,7 @@ impl<H: Hooks> Core<H> {
                     next_fetch,
                     stall,
                 } => {
-                    self.if_id = None;
-                    self.if_pending = None;
-                    self.if_busy = 0;
+                    self.if_id.latch = None;
                     self.pc = next_fetch;
                     self.state.perf.metal_entries += 1;
                     self.state.trace.emit(EventKind::DecodeReplace {
@@ -671,45 +614,38 @@ impl<H: Hooks> Core<H> {
                     cur_pc = pc;
                     cur = decoded;
                     if cur.is_illegal() {
-                        self.id_ex = Some(IdEx {
-                            pc,
-                            decoded: cur,
-                            fault: Some(Trap::illegal(cur.word)),
-                        });
+                        self.id_fault(pc, cur, Trap::illegal(cur.word));
                         return;
                     }
                 }
                 DecodeOutcome::Fault { trap, pc } => {
-                    self.if_id = None;
-                    self.id_ex = Some(IdEx {
-                        pc: pc.unwrap_or(cur_pc),
-                        decoded: cur,
-                        fault: Some(trap),
-                    });
+                    self.id_fault(pc.unwrap_or(cur_pc), cur, trap);
                     return;
                 }
             }
         }
         // Runaway replacement chain: treat as an illegal instruction.
-        self.if_id = None;
-        self.id_ex = Some(IdEx {
-            pc: cur_pc,
-            decoded: DecodedInsn::illegal(cur.word),
-            fault: Some(Trap::illegal(cur.word)),
+        self.id_fault(
+            cur_pc,
+            DecodedInsn::illegal(cur.word),
+            Trap::illegal(cur.word),
+        );
+    }
+
+    /// Consumes the IF → ID slot and sends a faulting instruction on to
+    /// EX, where it traps precisely.
+    fn id_fault(&mut self, pc: u32, decoded: DecodedInsn, trap: Trap) {
+        self.if_id.latch = None;
+        self.id_ex.latch = Some(Slot {
+            pc,
+            decoded,
+            fault: Some(trap),
         });
     }
 
     /// IF-stage work: interrupt injection and instruction fetch.
     fn run_if(&mut self) {
-        if self.if_busy > 0 {
-            self.if_busy -= 1;
-            self.state.perf.fetch_stall += 1;
-            if self.if_busy == 0 && self.if_id.is_none() {
-                self.if_id = self.if_pending.take();
-            }
-            return;
-        }
-        if self.if_id.is_some() {
+        if self.if_id.count_down(&mut self.state.perf.fetch_stall) || self.if_id.latch.is_some() {
             return;
         }
         if self.wfi {
@@ -721,49 +657,39 @@ impl<H: Hooks> Core<H> {
                 return;
             }
         }
+        let pc = self.pc;
+        self.pc = pc.wrapping_add(4);
         if let Some(line) = self.pending_interrupt() {
             // Inject the interrupt as a faulted fetch slot: it traps when
             // it reaches EX, by which point every older instruction has
             // completed — precise interrupt delivery. (Trapping here at
             // IF would squash older, not-yet-executed instructions
             // sitting in ID/EX.)
-            let pc = self.pc;
-            self.pc = pc.wrapping_add(4);
             self.state.trace.emit(EventKind::InterruptInjected { line });
-            self.if_id = Some(IfId {
+            self.if_id.latch = Some(Slot {
                 pc,
                 decoded: DecodedInsn::illegal(0),
                 fault: Some(Trap::new(TrapCause::Interrupt(line), 0)),
             });
             return;
         }
-        let pc = self.pc;
         let fetched = match self.hooks.fetch_decoded(&mut self.state, pc) {
             Some(result) => result,
             None => self.state.fetch_decoded(pc),
         };
         match fetched {
             Ok((decoded, latency)) => {
-                let latch = IfId {
+                let latch = Slot {
                     pc,
                     decoded,
                     fault: None,
                 };
-                self.pc = pc.wrapping_add(4);
-                if latency <= 1 {
-                    self.if_id = Some(latch);
-                } else {
-                    self.if_pending = Some(latch);
-                    self.if_busy = latency - 1;
-                    self.state.trace.emit(EventKind::Stall {
-                        kind: StallKind::Fetch,
-                        cycles: latency - 1,
-                    });
-                }
+                let extra = latency.saturating_sub(1);
+                self.if_id
+                    .put(latch, extra, &self.state.trace, StallKind::Fetch);
             }
             Err(trap) => {
-                self.pc = pc.wrapping_add(4);
-                self.if_id = Some(IfId {
+                self.if_id.latch = Some(Slot {
                     pc,
                     decoded: DecodedInsn::illegal(0),
                     fault: Some(trap),
@@ -809,76 +735,53 @@ impl<H: Hooks> Core<H> {
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         self.state.halted.is_some()
-            || self.if_id.is_none()
-                && self.if_pending.is_none()
-                && self.if_busy == 0
-                && self.id_ex.is_none()
-                && self.id_hold.is_none()
-                && self.id_stall == 0
-                && self.ex_mem.is_none()
-                && self.ex_hold.is_none()
-                && self.ex_busy == 0
-                && self.mem_wb.is_none()
-                && self.mem_hold.is_none()
-                && self.mem_busy == 0
+            || self.if_id.is_empty()
+                && self.id_ex.is_empty()
+                && self.ex_mem.is_empty()
+                && self.mem_wb.is_empty()
     }
 
     /// Flips one bit in an occupied inter-stage latch (fault-injection
-    /// harness). `stage`: 0 = IF/ID, 1 = ID/EX, 2 = EX/MEM, 3 = MEM/WB.
-    /// Bits 0–31 hit the in-flight instruction word (IF/ID, ID/EX, which
-    /// re-decode) or the latched data value (EX/MEM `alu`, MEM/WB
-    /// `value`); bits 32–63 hit the latched PC. Returns `false` when the
+    /// harness), including a latch whose producing stage is still busy
+    /// (a multi-cycle fetch, decode stall, mul/div or data access).
+    /// `stage`: 0 = IF/ID, 1 = ID/EX, 2 = EX/MEM, 3 = MEM/WB. Bits 0–31
+    /// hit the in-flight instruction word (IF/ID, ID/EX, which
+    /// re-decode) or the latched data word (EX/MEM: the load/store
+    /// address or the result to write back; MEM/WB: the writeback
+    /// value); bits 32–63 hit the latched PC. Returns `false` when the
     /// latch is empty — an injection into a bubble is architecturally
     /// masked by construction.
     pub fn inject_latch_bit(&mut self, stage: u8, bit: u8) -> bool {
-        let bit = bit & 63;
-        let word_bit = 1u32 << (bit & 31);
+        let mask = 1u32 << (bit & 31);
+        let on_pc = bit & 32 != 0;
+        let flip = |pc: &mut u32, word: &mut u32| *if on_pc { pc } else { word } ^= mask;
         match stage & 3 {
-            0 => match &mut self.if_id {
-                Some(l) => {
-                    if bit < 32 {
-                        l.decoded = decode_to(l.decoded.word ^ word_bit);
+            0 | 1 => {
+                let stage = if stage & 3 == 0 {
+                    &mut self.if_id
+                } else {
+                    &mut self.id_ex
+                };
+                stage.latch.as_mut().map(|l| {
+                    if on_pc {
+                        l.pc ^= mask;
                     } else {
-                        l.pc ^= word_bit;
+                        l.decoded = decode_to(l.decoded.word ^ mask);
                     }
-                    true
-                }
-                None => false,
-            },
-            1 => match &mut self.id_ex {
-                Some(l) => {
-                    if bit < 32 {
-                        l.decoded = decode_to(l.decoded.word ^ word_bit);
-                    } else {
-                        l.pc ^= word_bit;
-                    }
-                    true
-                }
-                None => false,
-            },
-            2 => match &mut self.ex_mem {
-                Some(l) => {
-                    if bit < 32 {
-                        l.alu ^= word_bit;
-                    } else {
-                        l.pc ^= word_bit;
-                    }
-                    true
-                }
-                None => false,
-            },
-            _ => match &mut self.mem_wb {
-                Some(l) => {
-                    if bit < 32 {
-                        l.value ^= word_bit;
-                    } else {
-                        l.pc ^= word_bit;
-                    }
-                    true
-                }
-                None => false,
-            },
+                })
+            }
+            2 => self
+                .ex_mem
+                .latch
+                .as_mut()
+                .map(|l| flip(&mut l.pc, &mut l.value)),
+            _ => self
+                .mem_wb
+                .latch
+                .as_mut()
+                .map(|l| flip(&mut l.pc, &mut l.value)),
         }
+        .is_some()
     }
 }
 

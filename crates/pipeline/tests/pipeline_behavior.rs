@@ -4,7 +4,7 @@
 use metal_asm::assemble_at;
 use metal_isa::reg::Reg;
 use metal_mem::CacheConfig;
-use metal_pipeline::{Core, CoreConfig, HaltReason, NoHooks, TrapCause};
+use metal_pipeline::{Core, CoreConfig, HaltReason, Interp, NoHooks, TrapCause};
 
 fn perfect_cache() -> CacheConfig {
     CacheConfig {
@@ -29,10 +29,17 @@ fn ideal_core() -> Core<NoHooks> {
     )
 }
 
-fn run_asm(core: &mut Core<NoHooks>, src: &str) -> HaltReason {
+fn to_bytes(words: &[u32]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+fn load_asm(core: &mut Core<NoHooks>, src: &str) {
     let words = assemble_at(src, 0).unwrap_or_else(|e| panic!("{e}"));
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    core.load_segments([(0u32, bytes.as_slice())], 0);
+    core.load_segments([(0u32, to_bytes(&words).as_slice())], 0);
+}
+
+fn run_asm(core: &mut Core<NoHooks>, src: &str) -> HaltReason {
+    load_asm(core, src);
     core.run(1_000_000).expect("program should halt")
 }
 
@@ -331,16 +338,63 @@ fn wfi_waits_for_interrupt() {
 }
 
 #[test]
-fn livelock_detected() {
+fn retiring_jump_loop_runs_to_cycle_cap() {
     let mut core = ideal_core();
-    // Jump into an infinite fault loop: mtvec = faulting address itself.
-    let words = assemble_at("j 0x0", 0x0).unwrap();
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    core.load_segments([(0u32, bytes.as_slice())], 0);
-    // An infinite `j 0` loop retires instructions forever, so use a cycle
-    // cap instead and assert it did not halt.
+    load_asm(&mut core, "j 0x0");
+    // A `j 0` loop retires an instruction every few cycles, so the
+    // livelock detector must stay quiet until the cycle cap.
     assert_eq!(core.run(10_000), None);
     assert!(core.state.perf.instret > 1000);
+}
+
+#[test]
+fn trap_loop_without_retirement_is_fatal_on_core_only() {
+    // mtvec points at an illegal word, so the handler's first instruction
+    // traps back to itself forever: only `li` and `csrw` ever retire.
+    let mut words = assemble_at("li t0, 12\n csrw mtvec, t0\n ecall", 0).unwrap();
+    assert_eq!(words.len(), 3);
+    words.push(0xFFFF_FFFF);
+    let bytes = to_bytes(&words);
+
+    let mut core = Core::new(CoreConfig::default(), NoHooks);
+    core.load_segments([(0u32, bytes.as_slice())], 0);
+    let halt = core.run(300_000);
+    assert!(
+        matches!(&halt, Some(HaltReason::Fatal(m)) if m.starts_with("livelock: ")),
+        "{halt:?}"
+    );
+    assert_eq!(core.state.perf.cycles, 100_022);
+    assert_eq!(core.state.perf.instret, 2);
+
+    // The interpreter has no livelock detector: the same guest just runs
+    // out of steps.
+    let mut interp = Interp::new(CoreConfig::default(), NoHooks);
+    interp.load_segments([(0u32, bytes.as_slice())], 0);
+    assert_eq!(interp.run(300_000), None);
+}
+
+/// Runs `a0 = 3 * 5` after flipping bit 0 of the EX/MEM latch at cycle
+/// `ticks`. Returns whether the flip landed and how the run halted.
+fn mul_with_ex_mem_flip(ticks: u32) -> (bool, Option<HaltReason>) {
+    let mut core = ideal_core();
+    assert_eq!(core.config().mul_latency, 2);
+    load_asm(&mut core, "li a1, 3\n li a2, 5\n mul a0, a1, a2\n ebreak");
+    for _ in 0..ticks {
+        core.tick();
+    }
+    let applied = core.inject_latch_bit(2, 0);
+    (applied, core.run(1_000))
+}
+
+#[test]
+fn held_and_result_latches_are_injectable() {
+    let flipped = Some(HaltReason::Ebreak { code: 15 ^ 1 });
+    // Cycle 5: the mul's result waits in EX/MEM while EX spends its extra
+    // mul cycles.
+    assert_eq!(mul_with_ex_mem_flip(5), (true, flipped.clone()));
+    // Cycle 7: EX is done, and the latched result is what gets written
+    // back.
+    assert_eq!(mul_with_ex_mem_flip(7), (true, flipped));
 }
 
 #[test]

@@ -56,6 +56,16 @@ if [[ "${CHECK_FAULT:-0}" == "1" ]]; then
     done
     # The harness itself must not perturb state.
     target/release/mfault --seed 7 --cases 25 --zero-fault --workload fuzz
+    # The latch, cache, TLB and guest-register sites must also give
+    # identical JSON for any --jobs.
+    out=$(mktemp -d)
+    for jobs in 1 2; do
+        target/release/mfault --seed 7 --cases 200 --jobs "$jobs" --engine pipeline \
+            --workload fuzz --sites latch,cache,tlb,guest-reg --json "$out/jobs$jobs.json" \
+            > /dev/null
+    done
+    cmp "$out/jobs1.json" "$out/jobs2.json"
+    rm -r "$out"
 fi
 
 echo "==> all checks passed"

@@ -28,12 +28,25 @@ fn smoke_config() -> CampaignConfig {
 
 #[test]
 fn campaign_is_deterministic_across_jobs() {
-    let mut cfg = smoke_config();
-    let baseline = run(&cfg).to_json(&cfg).to_string_compact();
-    for jobs in [1, 4] {
-        cfg.jobs = jobs;
-        let again = run(&cfg).to_json(&cfg).to_string_compact();
-        assert_eq!(baseline, again, "campaign diverged at --jobs {jobs}");
+    // The MRAM/MReg smoke campaign, and one over the latch, cache, TLB
+    // and guest-register sites.
+    let pipeline_only = CampaignConfig {
+        sites: vec![
+            FaultSite::Latch,
+            FaultSite::Cache,
+            FaultSite::Tlb,
+            FaultSite::GuestReg,
+        ],
+        workload: WorkloadKind::Fuzz,
+        ..smoke_config()
+    };
+    for mut cfg in [smoke_config(), pipeline_only] {
+        let baseline = run(&cfg).to_json(&cfg).to_string_compact();
+        for jobs in [1, 4] {
+            cfg.jobs = jobs;
+            let again = run(&cfg).to_json(&cfg).to_string_compact();
+            assert_eq!(baseline, again, "campaign diverged at --jobs {jobs}");
+        }
     }
 }
 
