@@ -523,9 +523,10 @@ mod tests {
 
     #[test]
     fn metal_operations_reach_the_trace() {
-        // `rmr`, `mld` and `march` each record a CustomExec event (the
-        // coverage map's `march.*` feature) and every routine word is an
-        // MRAM fetch.
+        // `menter` and `mexit` each replace a decode slot, `rmr`, `mld`
+        // and `march` each record a CustomExec event (the coverage map's
+        // `march.*` feature), and every routine word is an MRAM fetch.
+        // Both engines trace the same Metal operations.
         let mut runner = CaseRunner::new(BugKind::None);
         let case = FuzzCase {
             seed: 0,
@@ -540,10 +541,20 @@ mod tests {
         };
         let res = runner.run(&case).unwrap();
         assert_eq!(res.divergence, None);
-        let count =
-            |pred: fn(&EventKind) -> bool| res.core.events.iter().filter(|e| pred(&e.kind)).count();
-        assert_eq!(count(|k| matches!(k, EventKind::CustomExec { .. })), 3);
-        assert_eq!(count(|k| matches!(k, EventKind::MramFetch { .. })), 4);
+        let counts = |run: &EngineRun| {
+            let mut counts = [0; 3];
+            for e in &run.events {
+                match e.kind {
+                    EventKind::DecodeReplace { .. } => counts[0] += 1,
+                    EventKind::CustomExec { .. } => counts[1] += 1,
+                    EventKind::MramFetch { .. } => counts[2] += 1,
+                    _ => {}
+                }
+            }
+            counts
+        };
+        assert_eq!(counts(&res.core), [2, 3, 4]);
+        assert_eq!(counts(&res.interp), counts(&res.core));
     }
 
     #[test]

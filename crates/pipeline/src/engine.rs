@@ -35,6 +35,9 @@ pub struct EngineSnapshot<H: Hooks + Clone> {
     pc: u32,
 }
 
+/// Cycles without a retirement, outside `wfi`, that [`Engine::run_fuel`] calls a hang.
+const HANG_WINDOW: u64 = 100_000;
+
 /// A machine that can load and run guest programs: the pipelined core
 /// or the reference interpreter.
 pub trait Engine: Sized {
@@ -78,24 +81,41 @@ pub trait Engine: Sized {
         entry: u32,
     );
 
-    /// Runs until the machine halts or `limit` units elapse (cycles for
-    /// the pipelined core, steps for the interpreter). Returns the halt
-    /// reason if the machine stopped.
+    /// Runs until the machine halts or `limit` cycles elapse (one per
+    /// interpreter step). Returns the halt reason if the machine stopped;
+    /// a guest that stops retiring is not detected here, it just runs
+    /// to `limit` and stays resumable (see [`Engine::run_fuel`]).
     fn run(&mut self, limit: u64) -> Option<HaltReason>;
 
-    /// Runs under a watchdog: like [`Engine::run`], but when the fuel
-    /// budget expires with the guest still running the machine is
-    /// halted with [`HaltReason::Timeout`] instead of being left
-    /// resumable. Campaign harnesses (`mfuzz --replay`, `mfault`) use
-    /// this so no single case can wedge a run on livelocked guest code.
+    /// True while the engine sleeps in `wfi` (the interpreter never does).
+    fn is_waiting(&self) -> bool {
+        false
+    }
+
+    /// Runs under the watchdog, the one hang semantics of both engines:
+    /// like [`Engine::run`], but the machine is halted with
+    /// [`HaltReason::Timeout`] once `fuel` cycles are spent, or at the
+    /// end of a 100,000-cycle window in which no instruction retired
+    /// and which did not begin with the engine waiting in `wfi` (so a
+    /// sleep that ends late in a window does not count as a hang).
+    /// Campaign harnesses (`mfuzz`, `mfault`) use this so no single
+    /// case can wedge a run on livelocked guest code.
     fn run_fuel(&mut self, fuel: u64) -> HaltReason {
-        match self.run(fuel) {
-            Some(halt) => halt,
-            None => {
-                self.state_mut().halted = Some(HaltReason::Timeout);
-                HaltReason::Timeout
+        let mut left = fuel;
+        while left > 0 {
+            let window = left.min(HANG_WINDOW);
+            let instret = self.state().perf.instret;
+            let waiting = self.is_waiting();
+            if let Some(halt) = self.run(window) {
+                return halt;
+            }
+            left -= window;
+            if !waiting && self.state().perf.instret == instret {
+                break;
             }
         }
+        self.state_mut().halted = Some(HaltReason::Timeout);
+        HaltReason::Timeout
     }
 
     /// Runs until `n` more instructions retire or the machine halts.
@@ -194,6 +214,10 @@ impl<H: Hooks> Engine for Core<H> {
 
     fn step_insns(&mut self, n: u64) {
         Core::step_insns(self, n);
+    }
+
+    fn is_waiting(&self) -> bool {
+        self.wfi
     }
 
     fn is_quiescent(&self) -> bool {

@@ -5,13 +5,12 @@
 //! so the two can run the same program side by side; the differential
 //! property tests assert architectural-state equality.
 
-use crate::hooks::{DecodeOutcome, Hooks, NoHooks, TrapDisposition, TrapEvent, MAX_REPLACE_CHAIN};
+use crate::hooks::{resolve_decode, DecodeStage, Hooks, NoHooks};
 use crate::state::{CoreConfig, HaltReason, MachineState};
-use crate::trap::TrapCause;
-use metal_isa::csr;
-use metal_isa::insn::{CsrOp, CsrSrc, Insn};
+use crate::trap::{Trap, TrapCause};
+use metal_isa::insn::{CsrSrc, Insn};
 use metal_isa::reg::Reg;
-use metal_trace::EventKind;
+use metal_isa::DecodedInsn;
 
 /// The reference interpreter.
 pub struct Interp<H: Hooks = NoHooks> {
@@ -48,52 +47,10 @@ impl<H: Hooks> Interp<H> {
         self.pc = entry;
     }
 
-    fn handle_trap(&mut self, cause: TrapCause, tval: u32, pc: u32) {
-        if cause.is_interrupt() {
-            self.state.perf.interrupts += 1;
-        } else {
-            self.state.perf.exceptions += 1;
+    fn handle_trap(&mut self, trap: Trap, pc: u32) {
+        if let Some((target, _)) = self.state.enter_trap(&mut self.hooks, trap, pc) {
+            self.pc = target;
         }
-        self.state.trace.emit(EventKind::Trap {
-            code: cause.code(),
-            tval,
-            pc,
-        });
-        let event = TrapEvent { cause, tval, pc };
-        match self.hooks.on_trap(&mut self.state, &event) {
-            TrapDisposition::Default => {
-                self.state.csr.mepc = pc;
-                self.state.csr.mcause = cause.code();
-                self.state.csr.mtval = tval;
-                let mie = self.state.csr.mstatus & csr::MSTATUS_MIE != 0;
-                self.state.csr.mstatus &= !(csr::MSTATUS_MIE | csr::MSTATUS_MPIE);
-                if mie {
-                    self.state.csr.mstatus |= csr::MSTATUS_MPIE;
-                }
-                self.pc = self.state.csr.mtvec;
-            }
-            TrapDisposition::Redirect { target, .. } => {
-                self.state.perf.metal_entries += 1;
-                self.pc = target;
-            }
-            TrapDisposition::Fatal => {
-                self.state.halted = Some(HaltReason::Fatal(format!(
-                    "unhandled trap {cause} at pc {pc:#010x} (tval {tval:#010x})"
-                )));
-            }
-        }
-    }
-
-    /// Lowest pending, enabled interrupt line, if delivery is allowed.
-    fn pending_interrupt(&self) -> Option<u8> {
-        let pending = self.state.perf.mip_snapshot & self.state.csr.mie;
-        if pending == 0 || self.state.csr.mstatus & csr::MSTATUS_MIE == 0 {
-            return None;
-        }
-        if !self.hooks.interrupts_allowed(&self.state) {
-            return None;
-        }
-        Some(pending.trailing_zeros() as u8)
     }
 
     /// Executes one instruction (or takes one trap).
@@ -107,66 +64,20 @@ impl<H: Hooks> Interp<H> {
         self.state.trace.set_now(cycle);
         self.state.perf.mip_snapshot = self.state.bus.tick(cycle);
 
-        if let Some(line) = self.pending_interrupt() {
-            self.handle_trap(TrapCause::Interrupt(line), 0, self.pc);
+        if let Some(line) = self.state.pending_interrupt(&self.hooks) {
+            self.handle_trap(Trap::new(TrapCause::Interrupt(line), 0), self.pc);
             return;
         }
 
         let pc = self.pc;
         // Fetch pre-decoded: the decode cache (or the extension's MRAM)
         // has already paid the word→Insn cost at most once per word.
-        let decoded = match self.hooks.fetch_decoded(&mut self.state, pc) {
-            Some(Ok((d, _))) => d,
-            Some(Err(trap)) => {
-                self.handle_trap(trap.cause, trap.tval, pc);
-                return;
-            }
-            None => match self.state.fetch_decoded(pc) {
-                Ok((d, _)) => d,
-                Err(trap) => {
-                    self.handle_trap(trap.cause, trap.tval, pc);
-                    return;
-                }
-            },
+        let fetched = self.hooks.fetch_decoded(&mut self.state, pc);
+        let decoded = match fetched.unwrap_or_else(|| self.state.fetch_decoded(pc)) {
+            Ok((decoded, _)) => decoded,
+            Err(trap) => return self.handle_trap(trap, pc),
         };
-        if decoded.is_illegal() {
-            self.handle_trap(TrapCause::IllegalInstruction, decoded.word, pc);
-            return;
-        }
-        // Chain decode-hook replacements exactly like the pipeline does
-        // (an mexit's return stream may begin with another menter).
-        let mut cur_pc = pc;
-        let mut cur = decoded;
-        for _ in 0..MAX_REPLACE_CHAIN {
-            match self
-                .hooks
-                .decode(&mut self.state, cur_pc, cur.word, &cur.insn)
-            {
-                DecodeOutcome::Pass => {
-                    self.exec(cur_pc, cur.word, cur.insn);
-                    return;
-                }
-                DecodeOutcome::Replace {
-                    decoded, pc: pc2, ..
-                } => {
-                    self.state.perf.metal_entries += 1;
-                    if decoded.is_illegal() {
-                        self.handle_trap(TrapCause::IllegalInstruction, decoded.word, pc2);
-                        return;
-                    }
-                    cur_pc = pc2;
-                    cur = decoded;
-                }
-                DecodeOutcome::Fault {
-                    trap,
-                    pc: override_pc,
-                } => {
-                    self.handle_trap(trap.cause, trap.tval, override_pc.unwrap_or(cur_pc));
-                    return;
-                }
-            }
-        }
-        self.handle_trap(TrapCause::IllegalInstruction, cur.word, cur_pc);
+        resolve_decode(self, pc, decoded);
     }
 
     fn exec(&mut self, pc: u32, word: u32, insn: Insn) {
@@ -222,7 +133,7 @@ impl<H: Hooks> Interp<H> {
                 let addr = regs.get(rs1).wrapping_add(offset as u32);
                 match self.state.load(addr, op) {
                     Ok((v, _)) => self.retire_wb(pc, insn, rd, v, fallthrough),
-                    Err(trap) => self.handle_trap(trap.cause, trap.tval, pc),
+                    Err(trap) => self.handle_trap(trap, pc),
                 }
             }
             Insn::Store {
@@ -235,7 +146,7 @@ impl<H: Hooks> Interp<H> {
                 let value = regs.get(rs2);
                 match self.state.store(addr, op, value) {
                     Ok(_) => self.retire(pc, insn, fallthrough),
-                    Err(trap) => self.handle_trap(trap.cause, trap.tval, pc),
+                    Err(trap) => self.handle_trap(trap, pc),
                 }
             }
             Insn::Csr {
@@ -244,41 +155,23 @@ impl<H: Hooks> Interp<H> {
                 csr: addr,
                 src,
             } => {
-                let Some(old) = self.state.csr.read(addr, &self.state.perf) else {
-                    self.handle_trap(TrapCause::IllegalInstruction, word, pc);
-                    return;
-                };
                 let operand = match src {
-                    CsrSrc::Reg(r) => self.state.regs.get(r),
+                    CsrSrc::Reg(r) => regs.get(r),
                     CsrSrc::Imm(i) => u32::from(i),
                 };
-                let new = match op {
-                    CsrOp::Rw => Some(operand),
-                    CsrOp::Rs => (operand != 0).then_some(old | operand),
-                    CsrOp::Rc => (operand != 0).then_some(old & !operand),
-                };
-                if let Some(new) = new {
-                    if !self.state.csr.write(addr, new) {
-                        self.handle_trap(TrapCause::IllegalInstruction, word, pc);
-                        return;
-                    }
+                match self.state.csr_rmw(op, addr, operand, word) {
+                    Ok(old) => self.retire_wb(pc, insn, rd, old, fallthrough),
+                    Err(trap) => self.handle_trap(trap, pc),
                 }
-                self.retire_wb(pc, insn, rd, old, fallthrough);
             }
-            Insn::Ecall => self.handle_trap(TrapCause::Ecall, 0, pc),
+            Insn::Ecall => self.handle_trap(Trap::new(TrapCause::Ecall, 0), pc),
             Insn::Ebreak => {
                 self.state.halted = Some(HaltReason::Ebreak {
                     code: self.state.regs.get(Reg::A0),
                 });
             }
             Insn::Mret => {
-                let mpie = self.state.csr.mstatus & csr::MSTATUS_MPIE != 0;
-                self.state.csr.mstatus |= csr::MSTATUS_MPIE;
-                self.state.csr.mstatus &= !csr::MSTATUS_MIE;
-                if mpie {
-                    self.state.csr.mstatus |= csr::MSTATUS_MIE;
-                }
-                let target = self.state.csr.mepc;
+                let target = self.state.mret();
                 self.retire(pc, insn, target);
             }
             Insn::Wfi | Insn::Fence => {
@@ -302,7 +195,7 @@ impl<H: Hooks> Interp<H> {
                         }
                         self.retire(pc, other, fallthrough);
                     }
-                    Err(trap) => self.handle_trap(trap.cause, trap.tval, pc),
+                    Err(trap) => self.handle_trap(trap, pc),
                 }
             }
         }
@@ -338,6 +231,20 @@ impl<H: Hooks> Interp<H> {
         while self.state.halted.is_none() && self.state.perf.instret < target {
             self.step();
         }
+    }
+}
+
+impl<H: Hooks> DecodeStage<H> for Interp<H> {
+    fn parts(&mut self) -> (&mut H, &mut MachineState) {
+        (&mut self.hooks, &mut self.state)
+    }
+
+    fn pass(&mut self, pc: u32, decoded: DecodedInsn, _stall: u32) {
+        self.exec(pc, decoded.word, decoded.insn);
+    }
+
+    fn fault(&mut self, pc: u32, _decoded: DecodedInsn, trap: Trap) {
+        self.handle_trap(trap, pc);
     }
 }
 

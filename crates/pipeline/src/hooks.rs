@@ -7,7 +7,9 @@
 //! base ISA and calls out at exactly the points where Metal attaches —
 //! instruction fetch (one pre-decoded fetch hook, for MRAM), decode
 //! (menter/mexit replacement and interception), execute (the Metal
-//! instructions), and trap delivery (delegation to mroutines).
+//! instructions), and trap delivery (delegation to mroutines). Both
+//! engines drive the decode hook through one replacement chain,
+//! `resolve_decode`.
 //!
 //! The boundary carries no tracing of its own: the engines emit the
 //! pipeline-level events, and an extension emits its own (Metal records
@@ -17,11 +19,12 @@
 use crate::state::MachineState;
 use crate::trap::{Trap, TrapCause};
 use metal_isa::{DecodedInsn, Insn};
+use metal_trace::EventKind;
 
 /// Maximum chained decode-slot replacements for one fetched instruction
-/// before an engine declares a runaway and raises an illegal-instruction
-/// trap. Shared by both engines so they give up at the same point.
-pub(crate) const MAX_REPLACE_CHAIN: usize = 16;
+/// before [`resolve_decode`] declares a runaway and raises an
+/// illegal-instruction trap.
+const MAX_REPLACE_CHAIN: usize = 16;
 
 /// What the decode-stage hook decided about an instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,6 +167,68 @@ pub trait Hooks {
     fn on_retire(&mut self, state: &mut MachineState, pc: u32, insn: &Insn) {
         let _ = (state, pc, insn);
     }
+}
+
+/// An engine's decode stage, as [`resolve_decode`] drives it.
+pub(crate) trait DecodeStage<H: Hooks> {
+    /// The hooks and the machine state, borrowed together.
+    fn parts(&mut self) -> (&mut H, &mut MachineState);
+
+    /// A replacement moved fetch on to `next_fetch`.
+    fn redirect_fetch(&mut self, next_fetch: u32) {
+        let _ = next_fetch;
+    }
+
+    /// The slot settled on `decoded` at `pc`, after `stall` extra decode
+    /// cycles of replacement: execute it, or send it on.
+    fn pass(&mut self, pc: u32, decoded: DecodedInsn, stall: u32);
+
+    /// The slot holding `decoded` at `pc` raises `trap` instead.
+    fn fault(&mut self, pc: u32, decoded: DecodedInsn, trap: Trap);
+}
+
+/// The decode stage's replacement path, shared by both engines: offers
+/// the instruction at `pc` to [`Hooks::decode`], and re-offers each
+/// replacement, since it may itself be replaced (an `mexit` whose
+/// return stream begins with another `menter`). Each replacement counts
+/// as a Metal entry and is traced as `DecodeReplace`. An illegal word
+/// in the slot, a hook fault, or a chain longer than
+/// `MAX_REPLACE_CHAIN` ends in [`DecodeStage::fault`].
+///
+/// `pass` and `fault` are called in the arm that decides them, so each
+/// inlines with its outcome known: one merged result was slower.
+#[inline]
+pub(crate) fn resolve_decode<H: Hooks>(
+    engine: &mut impl DecodeStage<H>,
+    mut pc: u32,
+    mut cur: DecodedInsn,
+) {
+    let mut stall = 0;
+    for _ in 0..MAX_REPLACE_CHAIN {
+        if cur.is_illegal() {
+            return engine.fault(pc, cur, Trap::illegal(cur.word));
+        }
+        let (hooks, state) = engine.parts();
+        match hooks.decode(state, pc, cur.word, &cur.insn) {
+            DecodeOutcome::Pass => return engine.pass(pc, cur, stall),
+            DecodeOutcome::Replace {
+                decoded,
+                pc: target,
+                next_fetch,
+                stall: extra,
+            } => {
+                state.perf.metal_entries += 1;
+                state.trace.emit(EventKind::DecodeReplace { pc, target });
+                engine.redirect_fetch(next_fetch);
+                (pc, cur) = (target, decoded);
+                stall += extra;
+            }
+            DecodeOutcome::Fault { trap, pc: at } => {
+                return engine.fault(at.unwrap_or(pc), cur, trap);
+            }
+        }
+    }
+    engine.fault(pc, DecodedInsn::illegal(cur.word), Trap::illegal(cur.word));
 }
 
 /// The baseline core: no extension. All Metal instructions raise

@@ -16,16 +16,17 @@
 //! * **Extension hooks**: fetch/decode/execute/trap hook calls at the
 //!   exact attachment points Metal needs (see [`crate::hooks::Hooks`]).
 //!   The `menter`/`mexit` decode-stage replacement (paper §2.2) is the
-//!   [`DecodeOutcome::Replace`] path: the decode slot is rewritten in
-//!   place and fetch is redirected with *zero* bubbles when the
-//!   replacement source is 1-cycle (MRAM).
+//!   [`DecodeOutcome::Replace`](crate::hooks::DecodeOutcome::Replace)
+//!   path: the decode slot is rewritten in place and fetch is
+//!   redirected with *zero* bubbles when the replacement source is
+//!   1-cycle (MRAM).
 
-use crate::hooks::{DecodeOutcome, Hooks, TrapDisposition, TrapEvent, MAX_REPLACE_CHAIN};
+use crate::hooks::{resolve_decode, DecodeStage, Hooks};
 use crate::state::{CoreConfig, HaltReason, MachineState};
 use crate::trap::{Trap, TrapCause};
-use metal_isa::insn::{CsrOp, CsrSrc, Insn, MulOp};
+use metal_isa::insn::{CsrSrc, Insn, MulOp};
 use metal_isa::reg::Reg;
-use metal_isa::{csr, decode_to, DecodedInsn};
+use metal_isa::{decode_to, DecodedInsn};
 use metal_trace::{EventKind, StallKind, TraceHandle};
 
 /// IF → ID and ID → EX latch. Fetch delivers instructions pre-decoded
@@ -129,7 +130,7 @@ pub struct Core<H: Hooks> {
     id_ex: Stage<Slot>,
     ex_mem: Stage<ExMem>,
     mem_wb: Stage<MemWb>,
-    wfi: bool,
+    pub(crate) wfi: bool,
 }
 
 impl<H: Hooks> Core<H> {
@@ -182,43 +183,14 @@ impl<H: Hooks> Core<H> {
     }
 
     /// Takes a trap whose faulting/interrupted PC is `pc`.
-    fn take_trap(&mut self, cause: TrapCause, tval: u32, pc: u32) {
-        if cause.is_interrupt() {
-            self.state.perf.interrupts += 1;
-        } else {
-            self.state.perf.exceptions += 1;
-        }
-        self.state.trace.emit(EventKind::Trap {
-            code: cause.code(),
-            tval,
-            pc,
-        });
-        let event = TrapEvent { cause, tval, pc };
-        match self.hooks.on_trap(&mut self.state, &event) {
-            TrapDisposition::Default => {
-                let code = cause.code();
-                self.state.csr.mepc = pc;
-                self.state.csr.mcause = code;
-                self.state.csr.mtval = tval;
-                // Stack MIE into MPIE and disable interrupts.
-                let mie = self.state.csr.mstatus & csr::MSTATUS_MIE != 0;
-                self.state.csr.mstatus &= !(csr::MSTATUS_MIE | csr::MSTATUS_MPIE);
-                if mie {
-                    self.state.csr.mstatus |= csr::MSTATUS_MPIE;
-                }
-                let target = self.state.csr.mtvec;
-                self.flush_for_redirect(target);
-            }
-            TrapDisposition::Redirect { target, stall } => {
+    fn take_trap(&mut self, trap: Trap, pc: u32) {
+        match self.state.enter_trap(&mut self.hooks, trap, pc) {
+            Some((target, stall)) => {
                 self.flush_for_redirect(target);
                 // ID counts the delegation stall down with an empty latch.
                 self.id_ex.hold(stall, &self.state.trace, StallKind::Decode);
-                self.state.perf.metal_entries += 1;
             }
-            TrapDisposition::Fatal => {
-                self.state.halted = Some(HaltReason::Fatal(format!(
-                    "unhandled trap {cause} at pc {pc:#010x} (tval {tval:#010x})"
-                )));
+            None => {
                 // Squash everything younger than the trap point.
                 self.if_id = Stage::EMPTY;
                 self.id_ex.latch = None;
@@ -236,21 +208,6 @@ impl<H: Hooks> Core<H> {
             Some(wb) if wb.rd == Some(r) => wb.value,
             _ => self.state.regs.get(r),
         }
-    }
-
-    /// Lowest pending, enabled interrupt line, if delivery is allowed.
-    fn pending_interrupt(&self) -> Option<u8> {
-        let pending = self.state.perf.mip_snapshot & self.state.csr.mie;
-        if pending == 0 {
-            return None;
-        }
-        if self.state.csr.mstatus & csr::MSTATUS_MIE == 0 {
-            return None;
-        }
-        if !self.hooks.interrupts_allowed(&self.state) {
-            return None;
-        }
-        Some(pending.trailing_zeros() as u8)
     }
 
     /// Advances the machine one cycle.
@@ -300,7 +257,7 @@ impl<H: Hooks> Core<H> {
                         .put(latch, extra, &self.state.trace, StallKind::Mem);
                 }
                 Err(trap) => {
-                    self.take_trap(trap.cause, trap.tval, xm.pc);
+                    self.take_trap(trap, xm.pc);
                     flushed = true;
                 }
             }
@@ -354,7 +311,7 @@ impl<H: Hooks> Core<H> {
     #[allow(clippy::too_many_lines)]
     fn run_ex(&mut self, d: Slot) -> bool {
         if let Some(trap) = d.fault {
-            self.take_trap(trap.cause, trap.tval, d.pc);
+            self.take_trap(trap, d.pc);
             return true;
         }
         let push = |core: &mut Core<H>, value: u32, store_val: u32, extra: u32| {
@@ -434,29 +391,20 @@ impl<H: Hooks> Core<H> {
             Insn::Csr {
                 op, csr: addr, src, ..
             } => {
-                let Some(old) = self.state.csr.read(addr, &self.state.perf) else {
-                    self.take_trap(TrapCause::IllegalInstruction, d.decoded.word, d.pc);
-                    return true;
-                };
                 let operand = match src {
                     CsrSrc::Reg(r) => self.forward(r),
                     CsrSrc::Imm(i) => u32::from(i),
                 };
-                let new = match op {
-                    CsrOp::Rw => Some(operand),
-                    CsrOp::Rs => (operand != 0).then_some(old | operand),
-                    CsrOp::Rc => (operand != 0).then_some(old & !operand),
-                };
-                if let Some(new) = new {
-                    if !self.state.csr.write(addr, new) {
-                        self.take_trap(TrapCause::IllegalInstruction, d.decoded.word, d.pc);
+                match self.state.csr_rmw(op, addr, operand, d.decoded.word) {
+                    Ok(old) => push(self, old, 0, 0),
+                    Err(trap) => {
+                        self.take_trap(trap, d.pc);
                         return true;
                     }
                 }
-                push(self, old, 0, 0);
             }
             Insn::Ecall => {
-                self.take_trap(TrapCause::Ecall, 0, d.pc);
+                self.take_trap(Trap::new(TrapCause::Ecall, 0), d.pc);
                 return true;
             }
             Insn::Ebreak => {
@@ -472,14 +420,7 @@ impl<H: Hooks> Core<H> {
                 return true;
             }
             Insn::Mret => {
-                // Restore the stacked interrupt enable.
-                let mpie = self.state.csr.mstatus & csr::MSTATUS_MPIE != 0;
-                self.state.csr.mstatus |= csr::MSTATUS_MPIE;
-                self.state.csr.mstatus &= !csr::MSTATUS_MIE;
-                if mpie {
-                    self.state.csr.mstatus |= csr::MSTATUS_MIE;
-                }
-                let target = self.state.csr.mepc;
+                let target = self.state.mret();
                 push(self, 0, 0, 0);
                 self.flush_for_redirect(target);
                 return true;
@@ -512,7 +453,7 @@ impl<H: Hooks> Core<H> {
                         push(self, result.writeback.unwrap_or(0), 0, result.extra_cycles);
                     }
                     Err(trap) => {
-                        self.take_trap(trap.cause, trap.tval, d.pc);
+                        self.take_trap(trap, d.pc);
                         return true;
                     }
                 }
@@ -531,7 +472,7 @@ impl<H: Hooks> Core<H> {
                 .then(|| Trap::illegal(f.decoded.word))
         });
         if let Some(trap) = fault {
-            self.id_fault(f.pc, f.decoded, trap);
+            self.fault(f.pc, f.decoded, trap);
             return;
         }
         // Load-use hazard: one bubble.
@@ -575,72 +516,8 @@ impl<H: Hooks> Core<H> {
             }
         }
         // The decode hook may replace the instruction in the slot
-        // (menter/mexit/interception), and the replacement may itself be
-        // replaced — e.g. an mexit whose return stream begins with
-        // another menter. Chain the hook with a runaway bound.
-        let mut cur_pc = f.pc;
-        let mut cur = f.decoded;
-        let mut total_stall = 0u32;
-        for _ in 0..MAX_REPLACE_CHAIN {
-            match self
-                .hooks
-                .decode(&mut self.state, cur_pc, cur.word, &cur.insn)
-            {
-                DecodeOutcome::Pass => {
-                    self.if_id.latch = None;
-                    let latch = Slot {
-                        pc: cur_pc,
-                        decoded: cur,
-                        fault: None,
-                    };
-                    self.id_ex
-                        .put(latch, total_stall, &self.state.trace, StallKind::Decode);
-                    return;
-                }
-                DecodeOutcome::Replace {
-                    decoded,
-                    pc,
-                    next_fetch,
-                    stall,
-                } => {
-                    self.if_id.latch = None;
-                    self.pc = next_fetch;
-                    self.state.perf.metal_entries += 1;
-                    self.state.trace.emit(EventKind::DecodeReplace {
-                        pc: cur_pc,
-                        target: pc,
-                    });
-                    total_stall += stall;
-                    cur_pc = pc;
-                    cur = decoded;
-                    if cur.is_illegal() {
-                        self.id_fault(pc, cur, Trap::illegal(cur.word));
-                        return;
-                    }
-                }
-                DecodeOutcome::Fault { trap, pc } => {
-                    self.id_fault(pc.unwrap_or(cur_pc), cur, trap);
-                    return;
-                }
-            }
-        }
-        // Runaway replacement chain: treat as an illegal instruction.
-        self.id_fault(
-            cur_pc,
-            DecodedInsn::illegal(cur.word),
-            Trap::illegal(cur.word),
-        );
-    }
-
-    /// Consumes the IF → ID slot and sends a faulting instruction on to
-    /// EX, where it traps precisely.
-    fn id_fault(&mut self, pc: u32, decoded: DecodedInsn, trap: Trap) {
-        self.if_id.latch = None;
-        self.id_ex.latch = Some(Slot {
-            pc,
-            decoded,
-            fault: Some(trap),
-        });
+        // (menter/mexit/interception).
+        resolve_decode(self, f.pc, f.decoded);
     }
 
     /// IF-stage work: interrupt injection and instruction fetch.
@@ -659,7 +536,7 @@ impl<H: Hooks> Core<H> {
         }
         let pc = self.pc;
         self.pc = pc.wrapping_add(4);
-        if let Some(line) = self.pending_interrupt() {
+        if let Some(line) = self.state.pending_interrupt(&self.hooks) {
             // Inject the interrupt as a faulted fetch slot: it traps when
             // it reaches EX, by which point every older instruction has
             // completed — precise interrupt delivery. (Trapping here at
@@ -673,11 +550,8 @@ impl<H: Hooks> Core<H> {
             });
             return;
         }
-        let fetched = match self.hooks.fetch_decoded(&mut self.state, pc) {
-            Some(result) => result,
-            None => self.state.fetch_decoded(pc),
-        };
-        match fetched {
+        let fetched = self.hooks.fetch_decoded(&mut self.state, pc);
+        match fetched.unwrap_or_else(|| self.state.fetch_decoded(pc)) {
             Ok((decoded, latency)) => {
                 let latch = Slot {
                     pc,
@@ -702,17 +576,8 @@ impl<H: Hooks> Core<H> {
     /// halt reason if the machine stopped.
     pub fn run(&mut self, max_cycles: u64) -> Option<HaltReason> {
         let start = self.state.perf.cycles;
-        let mut last_retire = (self.state.perf.cycles, self.state.perf.instret);
         while self.state.halted.is_none() && self.state.perf.cycles - start < max_cycles {
             self.tick();
-            if self.state.perf.instret != last_retire.1 {
-                last_retire = (self.state.perf.cycles, self.state.perf.instret);
-            } else if !self.wfi && self.state.perf.cycles - last_retire.0 > 100_000 {
-                self.state.halted = Some(HaltReason::Fatal(format!(
-                    "livelock: no instruction retired for 100000 cycles near pc {:#010x}",
-                    self.pc
-                )));
-            }
         }
         self.state.halted.clone()
     }
@@ -782,6 +647,39 @@ impl<H: Hooks> Core<H> {
                 .map(|l| flip(&mut l.pc, &mut l.value)),
         }
         .is_some()
+    }
+}
+
+impl<H: Hooks> DecodeStage<H> for Core<H> {
+    fn parts(&mut self) -> (&mut H, &mut MachineState) {
+        (&mut self.hooks, &mut self.state)
+    }
+
+    fn redirect_fetch(&mut self, next_fetch: u32) {
+        self.pc = next_fetch;
+    }
+
+    /// Moves the slot from IF → ID to ID → EX, ready after `stall` cycles.
+    fn pass(&mut self, pc: u32, decoded: DecodedInsn, stall: u32) {
+        self.if_id.latch = None;
+        let latch = Slot {
+            pc,
+            decoded,
+            fault: None,
+        };
+        self.id_ex
+            .put(latch, stall, &self.state.trace, StallKind::Decode);
+    }
+
+    /// Consumes the IF → ID slot and sends the faulting instruction on
+    /// to EX, where it traps precisely.
+    fn fault(&mut self, pc: u32, decoded: DecodedInsn, trap: Trap) {
+        self.if_id.latch = None;
+        self.id_ex.latch = Some(Slot {
+            pc,
+            decoded,
+            fault: Some(trap),
+        });
     }
 }
 

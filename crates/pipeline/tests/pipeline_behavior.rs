@@ -4,7 +4,7 @@
 use metal_asm::assemble_at;
 use metal_isa::reg::Reg;
 use metal_mem::CacheConfig;
-use metal_pipeline::{Core, CoreConfig, HaltReason, Interp, NoHooks, TrapCause};
+use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks, TrapCause};
 
 fn perfect_cache() -> CacheConfig {
     CacheConfig {
@@ -341,14 +341,51 @@ fn wfi_waits_for_interrupt() {
 fn retiring_jump_loop_runs_to_cycle_cap() {
     let mut core = ideal_core();
     load_asm(&mut core, "j 0x0");
-    // A `j 0` loop retires an instruction every few cycles, so the
-    // livelock detector must stay quiet until the cycle cap.
+    // A `j 0` loop retires an instruction every few cycles; it runs
+    // until the cycle cap.
     assert_eq!(core.run(10_000), None);
     assert!(core.state.perf.instret > 1000);
 }
 
 #[test]
-fn trap_loop_without_retirement_is_fatal_on_core_only() {
+fn long_wfi_sleep_is_not_a_hang() {
+    use metal_mem::devices::{map, Timer};
+    // The watchdog's windows end at multiples of 100,000 cycles. A wake
+    // at 199,998 leaves no time to retire before the window ends, so
+    // only the WFI state at the window's start keeps it from a hang.
+    for cmp in [150_000, 199_998] {
+        let mut core = ideal_core();
+        core.state
+            .bus
+            .attach(map::TIMER_BASE, map::WINDOW_LEN, Box::new(Timer::new()));
+        load_asm(
+            &mut core,
+            &format!(
+                r"
+                li t0, 1
+                csrw mie, t0
+                li s0, 0xF0000100
+                li t0, {cmp}
+                sw t0, 8(s0)
+                li t0, 1
+                sw t0, 16(s0)
+                wfi                 # MIE is off: wake without trapping
+                li a0, 7
+                ebreak
+                "
+            ),
+        );
+        assert_eq!(
+            core.run_fuel(1_000_000),
+            HaltReason::Ebreak { code: 7 },
+            "timer compare {cmp}"
+        );
+        assert!(core.state.perf.cycles > cmp);
+    }
+}
+
+#[test]
+fn trap_loop_without_retirement_times_out_on_both_engines() {
     // mtvec points at an illegal word, so the handler's first instruction
     // traps back to itself forever: only `li` and `csrw` ever retire.
     let mut words = assemble_at("li t0, 12\n csrw mtvec, t0\n ecall", 0).unwrap();
@@ -358,19 +395,15 @@ fn trap_loop_without_retirement_is_fatal_on_core_only() {
 
     let mut core = Core::new(CoreConfig::default(), NoHooks);
     core.load_segments([(0u32, bytes.as_slice())], 0);
-    let halt = core.run(300_000);
-    assert!(
-        matches!(&halt, Some(HaltReason::Fatal(m)) if m.starts_with("livelock: ")),
-        "{halt:?}"
-    );
-    assert_eq!(core.state.perf.cycles, 100_022);
-    assert_eq!(core.state.perf.instret, 2);
-
-    // The interpreter has no livelock detector: the same guest just runs
-    // out of steps.
     let mut interp = Interp::new(CoreConfig::default(), NoHooks);
     interp.load_segments([(0u32, bytes.as_slice())], 0);
-    assert_eq!(interp.run(300_000), None);
+    assert_eq!(core.run_fuel(300_000), HaltReason::Timeout);
+    assert_eq!(interp.run_fuel(300_000), HaltReason::Timeout);
+    // Both retire in the first 100,000-cycle window and stop at the end
+    // of the second, which retires nothing.
+    for perf in [&core.state.perf, &interp.state.perf] {
+        assert_eq!((perf.cycles, perf.instret), (200_000, 2));
+    }
 }
 
 /// Runs `a0 = 3 * 5` after flipping bit 0 of the EX/MEM latch at cycle

@@ -21,6 +21,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> reproduce all (E1-E9, Table 2 unchanged)"
+# The committed output pins every experiment's numbers; a change that
+# moves one must regenerate the file deliberately.
+target/release/reproduce all | diff reproduce_output.txt -
+
 echo "==> mlint (static analysis over example mcode)"
 # Example mroutines must stay lint-clean under the full battery, with
 # warnings promoted to failures.
