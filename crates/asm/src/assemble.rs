@@ -245,7 +245,7 @@ impl Assembler {
                 }
                 Stmt::Insn { mnemonic, operands } => {
                     let words = insn_size(line, mnemonic, operands)?;
-                    *self.loc() += 4 * words;
+                    self.advance(line, 4 * u64::from(words))?;
                 }
             }
         }
@@ -284,10 +284,22 @@ impl Assembler {
         })
     }
 
-    fn emit(&mut self, bytes: &[u8]) {
+    /// Moves the location counter `n` bytes on; it must stay inside the
+    /// 32-bit address space.
+    fn advance(&mut self, line: usize, n: u64) -> Result<(), AsmError> {
+        let loc = self.loc();
+        *loc = u32::try_from(n)
+            .ok()
+            .and_then(|n| loc.checked_add(n))
+            .ok_or_else(|| AsmError::new(line, "location counter passes 0xffffffff"))?;
+        Ok(())
+    }
+
+    fn emit(&mut self, line: usize, bytes: &[u8]) -> Result<(), AsmError> {
         let at = *self.loc();
+        self.advance(line, bytes.len() as u64)?;
         self.chunks.push((at, bytes.to_vec()));
-        *self.loc() += bytes.len() as u32;
+        Ok(())
     }
 
     fn record_span(&mut self, addr: u32, len: u32, line: usize, col: usize) {
@@ -317,7 +329,8 @@ impl Assembler {
             "globl" | "global" | "section" | "p2align_ignored" => {}
             "org" => {
                 let v = self.eval_one(line, args, 0)?;
-                *self.loc() = v as u32;
+                *self.loc() = u32::try_from(v)
+                    .map_err(|_| AsmError::new(line, ".org target is outside 0..=0xffffffff"))?;
             }
             "align" => {
                 let v = self.eval_one(line, args, 0)?;
@@ -328,9 +341,9 @@ impl Assembler {
                 let loc = *self.loc();
                 let pad = (align - (loc % align)) % align;
                 if emitting {
-                    self.emit(&vec![0u8; pad as usize]);
+                    self.emit(line, &vec![0u8; pad as usize])?;
                 } else {
-                    *self.loc() += pad;
+                    self.advance(line, u64::from(pad))?;
                 }
             }
             "space" | "skip" => {
@@ -344,9 +357,9 @@ impl Assembler {
                     0
                 };
                 if emitting {
-                    self.emit(&vec![fill; n as usize]);
+                    self.emit(line, &vec![fill; n as usize])?;
                 } else {
-                    *self.loc() += n as u32;
+                    self.advance(line, n as u64)?;
                 }
             }
             "word" | "half" | "byte" => {
@@ -361,9 +374,9 @@ impl Assembler {
                         let v = self.eval_one(line, args, idx)?;
                         bytes.extend_from_slice(&v.to_le_bytes()[..width]);
                     }
-                    self.emit(&bytes);
+                    self.emit(line, &bytes)?;
                 } else {
-                    *self.loc() += (args.len() * width) as u32;
+                    self.advance(line, (args.len() * width) as u64)?;
                 }
             }
             "ascii" | "asciz" => {
@@ -378,9 +391,9 @@ impl Assembler {
                     }
                 }
                 if emitting {
-                    self.emit(&bytes);
+                    self.emit(line, &bytes)?;
                 } else {
-                    *self.loc() += bytes.len() as u32;
+                    self.advance(line, bytes.len() as u64)?;
                 }
             }
             "equ" | "set" => {
@@ -1091,7 +1104,7 @@ impl Assembler {
                             .map_err(|e| AsmError::new(line, format!("{mnemonic}: {e}")))?;
                         bytes.extend_from_slice(&word.to_le_bytes());
                     }
-                    self.emit(&bytes);
+                    self.emit(line, &bytes)?;
                     self.record_span(pc, bytes.len() as u32, line, col);
                 }
             }
@@ -1308,6 +1321,18 @@ mod tests {
     fn overlap_rejected() {
         let err = assemble_at(".org 0\n.word 1\n.org 0\n.word 2", 0).unwrap_err();
         assert!(err.msg.contains("overlapping"));
+    }
+
+    #[test]
+    fn location_counter_stays_in_address_space() {
+        for (src, line) in [
+            (".org -4\n.word 1", 1),
+            (".org 0x100000000\n.word 1", 1),
+            (".org 0xfffffffc\n.word 1\n.word 2", 2),
+        ] {
+            let err = assemble_at(src, 0).unwrap_err();
+            assert_eq!(err.line, line, "{src:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Shared measurement helpers.
 
-use metal_core::Metal;
 use metal_mem::CacheConfig;
 use metal_pipeline::state::CoreConfig;
 use metal_pipeline::{Engine, HaltReason};
@@ -41,15 +40,8 @@ pub fn run_to_halt<E: Engine>(engine: &mut E, src: &str, limit: u64) -> u32 {
     }
 }
 
-/// Runs `src` on a fresh Metal engine built by `build` and returns
-/// total cycles.
-pub fn cycles_of<E: Engine<Hooks = Metal>>(build: impl Fn() -> E, src: &str) -> u64 {
-    let mut engine = build();
-    run_to_halt(&mut engine, src, 50_000_000);
-    engine.state().perf.cycles
-}
-
-/// Formats a cycles-per-operation float.
+/// Cycles per operation: the cycles `total_with` adds over
+/// `total_without`, divided by `ops`.
 #[must_use]
 pub fn per_op(total_with: u64, total_without: u64, ops: u64) -> f64 {
     (total_with as f64 - total_without as f64) / ops as f64
@@ -77,4 +69,23 @@ pub fn metrics_run() -> metal_trace::MetricsSnapshot {
     let mut snap = core.state.metrics_snapshot();
     core.hooks.publish_metrics(&mut snap);
     snap
+}
+
+#[cfg(test)]
+mod tests {
+    use super::metrics_run;
+
+    #[test]
+    fn metrics_run_snapshot_is_pinned_and_deterministic() {
+        let snap = metrics_run();
+        for name in [
+            "metal.menters",
+            "metal.mexits",
+            "transition.entry0.completions",
+        ] {
+            assert_eq!(snap.counter(name), Some(200), "{name}");
+        }
+        assert_eq!(snap.counter("instret"), Some(401));
+        assert_eq!(snap.to_json_string(), metrics_run().to_json_string());
+    }
 }

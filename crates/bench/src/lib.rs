@@ -24,6 +24,5 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod microbench;
 
-pub use harness::{cycles_of, run_to_halt, std_config};
+pub use harness::{run_to_halt, std_config};

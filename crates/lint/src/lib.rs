@@ -262,9 +262,13 @@ pub fn lint_words(words: &[u32], config: &LintConfig) -> Vec<Diagnostic> {
 
 /// Lints an assembled unit, attaching source spans to diagnostics.
 ///
-/// The words are taken by flattening the image from `config.base`.
+/// The words are taken by flattening the image from `config.base`; a
+/// unit with no instructions is an error, since it has no entry block.
 pub fn lint_assembled(asm: &Assembled, config: &LintConfig) -> Result<Vec<Diagnostic>, String> {
     let words = asm.words(config.base)?;
+    if words.is_empty() {
+        return Err("unit has no instructions".into());
+    }
     Ok(checks::analyze(&words, config, Some(asm)).diagnostics)
 }
 
@@ -313,5 +317,13 @@ mod tests {
         assert!(all.privilege && all.deadcode);
         assert!(install.privilege && install.structure);
         assert!(!install.retaddr && !install.leak && !install.deadcode);
+    }
+
+    #[test]
+    fn unit_without_instructions_is_an_error() {
+        for src in ["", "# c\n", "l:\n"] {
+            let err = lint_source(src, &LintConfig::mroutine(MRAM_BASE)).unwrap_err();
+            assert!(err.msg.contains("no instructions"), "{src:?}: {err}");
+        }
     }
 }

@@ -34,8 +34,10 @@ for f in examples/mcode/*.s; do
 done
 
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
-    echo "==> bench smoke (CHECK_BENCH=1)"
-    scripts/bench_smoke.sh
+    echo "==> perfbench against HEAD (CHECK_BENCH=1)"
+    # Ten alternating pairs per workload; any end-to-end metric worse
+    # than its BENCHMARK.json bound, or any failed run, fails the gate.
+    scripts/bench_compare.sh
 fi
 
 if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
