@@ -35,6 +35,12 @@ fn parse_sites(list: &str) -> Option<Vec<FaultSite>> {
     }
 }
 
+/// Parses a `--min-corrected-pct` operand: a finite percentage in
+/// `0..=100` (a NaN floor would disable the gate).
+fn parse_pct(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|p| (0.0..=100.0).contains(p))
+}
+
 fn main() -> ExitCode {
     let mut cfg = CampaignConfig::default();
     let mut json_path: Option<String> = None;
@@ -84,10 +90,9 @@ fn main() -> ExitCode {
                         true
                     }
                     "--max-sdc" => parse_num(&v).map(|n| max_sdc = Some(n)).is_some(),
-                    "--min-corrected-pct" => v
-                        .parse::<f64>()
-                        .map(|p| min_corrected_pct = Some(p))
-                        .is_ok(),
+                    "--min-corrected-pct" => {
+                        parse_pct(&v).map(|p| min_corrected_pct = Some(p)).is_some()
+                    }
                     _ => unreachable!(),
                 };
                 if !ok {
@@ -100,15 +105,6 @@ fn main() -> ExitCode {
     }
 
     let report = run(&cfg);
-    let classes = [
-        Classification::Masked,
-        Classification::CorrectedRetry,
-        Classification::CorrectedRollback,
-        Classification::Uncorrectable,
-        Classification::Sdc,
-        Classification::Hang,
-        Classification::Skipped,
-    ];
 
     println!(
         "mfault: seed {} | {} cases | engine {} | workload {} | ecc {} | kind {} | recovery {}",
@@ -127,8 +123,9 @@ fn main() -> ExitCode {
         );
     } else {
         println!("{:<20} {:>8}", "class", "cases");
-        for class in classes {
-            let n = report.count(class);
+        let total = report.tally(None);
+        for class in Classification::ALL {
+            let n = total.of(class);
             if n > 0 {
                 println!("{:<20} {:>8}", class.label(), n);
             }
@@ -139,27 +136,16 @@ fn main() -> ExitCode {
             "site", "injected", "masked", "corrected", "uncorrect.", "sdc", "hang"
         );
         for &site in &cfg.sites {
-            let of = |c: Classification| {
-                report
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.site == Some(site) && o.class == c)
-                    .count()
-            };
-            let injected = report
-                .outcomes
-                .iter()
-                .filter(|o| o.site == Some(site))
-                .count();
+            let t = report.tally(Some(site));
             println!(
                 "{:<12} {:>8} {:>8} {:>10} {:>12} {:>6} {:>6}",
                 site.label(),
-                injected,
-                of(Classification::Masked),
-                of(Classification::CorrectedRetry) + of(Classification::CorrectedRollback),
-                of(Classification::Uncorrectable),
-                of(Classification::Sdc),
-                of(Classification::Hang),
+                t.total(),
+                t.of(Classification::Masked),
+                t.corrected(),
+                t.of(Classification::Uncorrectable),
+                t.of(Classification::Sdc),
+                t.of(Classification::Hang),
             );
         }
         println!();
@@ -208,4 +194,18 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_pct;
+
+    #[test]
+    fn corrected_pct_floor_must_be_a_finite_percentage() {
+        for bad in ["nan", "inf", "-1", "101", "", "x"] {
+            assert_eq!(parse_pct(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_pct("95"), Some(95.0));
+        assert_eq!(parse_pct("95.5"), Some(95.5));
+    }
 }

@@ -2,10 +2,10 @@
 //! classification against the golden state.
 //!
 //! Each case is an independent function of `(campaign seed, case
-//! index)`: the case seed is derived by splitmix-mixing the two, so a
-//! campaign sharded over N worker threads produces *bit-identical*
-//! results for any `--jobs` value — shards own contiguous index
-//! ranges and the merged outcome vector is always in index order.
+//! index)`: the case seed is derived by splitmix-mixing the two, and
+//! the shared runner ([`metal_util::shard::run`]) returns outcomes in
+//! index order, so a campaign run on N worker threads produces
+//! *bit-identical* results for any `--jobs` value.
 //!
 //! Per case: build the victim, snapshot it pristine, run it clean to
 //! capture the **golden** digest, then rewind, step to a seeded
@@ -41,7 +41,7 @@ use metal_pipeline::state::{CoreConfig, TranslationMode};
 use metal_pipeline::{Core, Engine, HaltReason, Interp};
 use metal_trace::FaultSite;
 use metal_util::json::Json;
-use metal_util::Rng;
+use metal_util::{shard, Rng};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -210,6 +210,17 @@ pub enum Classification {
 }
 
 impl Classification {
+    /// Every class, in report order (the declaration order).
+    pub const ALL: [Classification; 7] = [
+        Classification::Masked,
+        Classification::CorrectedRetry,
+        Classification::CorrectedRollback,
+        Classification::Uncorrectable,
+        Classification::Sdc,
+        Classification::Hang,
+        Classification::Skipped,
+    ];
+
     /// Report label.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -222,15 +233,6 @@ impl Classification {
             Classification::Hang => "hang",
             Classification::Skipped => "skipped",
         }
-    }
-
-    /// Both corrected flavors.
-    #[must_use]
-    pub fn is_corrected(self) -> bool {
-        matches!(
-            self,
-            Classification::CorrectedRetry | Classification::CorrectedRollback
-        )
     }
 }
 
@@ -251,6 +253,30 @@ pub struct CaseOutcome {
     pub applied: bool,
 }
 
+/// Case counts per [`Classification`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally([u64; Classification::ALL.len()]);
+
+impl Tally {
+    /// Cases with the given class.
+    #[must_use]
+    pub fn of(&self, class: Classification) -> u64 {
+        self.0[class as usize]
+    }
+
+    /// Cases of every class.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Corrected cases (retry + rollback).
+    #[must_use]
+    pub fn corrected(&self) -> u64 {
+        self.of(Classification::CorrectedRetry) + self.of(Classification::CorrectedRollback)
+    }
+}
+
 /// Aggregated campaign results.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
@@ -268,24 +294,29 @@ impl Report {
         self.outcomes.iter().filter(|o| o.class == class).count() as u64
     }
 
-    /// Corrected cases (retry + rollback).
+    /// Per-class counts over the cases that attacked `site`, or over
+    /// every case when `site` is `None`.
     #[must_use]
-    pub fn corrected(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .filter(|o| o.class.is_corrected())
-            .count() as u64
+    pub fn tally(&self, site: Option<FaultSite>) -> Tally {
+        let mut tally = Tally::default();
+        for o in &self.outcomes {
+            if site.is_none() || o.site == site {
+                tally.0[o.class as usize] += 1;
+            }
+        }
+        tally
     }
 
     /// Fraction of evaluated (non-skipped) cases that were corrected,
     /// in percent. 100.0 for an empty campaign.
     #[must_use]
     pub fn corrected_pct(&self) -> f64 {
-        let evaluated = self.outcomes.len() as u64 - self.count(Classification::Skipped);
+        let tally = self.tally(None);
+        let evaluated = tally.total() - tally.of(Classification::Skipped);
         if evaluated == 0 {
             return 100.0;
         }
-        self.corrected() as f64 * 100.0 / evaluated as f64
+        tally.corrected() as f64 * 100.0 / evaluated as f64
     }
 
     /// Serializes the whole report as deterministic JSON (sorted
@@ -318,36 +349,18 @@ impl Report {
             ),
         );
 
-        let classes_of = |filter: &dyn Fn(&CaseOutcome) -> bool| {
-            let mut m = BTreeMap::new();
-            for class in [
-                Classification::Masked,
-                Classification::CorrectedRetry,
-                Classification::CorrectedRollback,
-                Classification::Uncorrectable,
-                Classification::Sdc,
-                Classification::Hang,
-                Classification::Skipped,
-            ] {
-                let n = self
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.class == class && filter(o))
-                    .count();
-                m.insert(class.label().to_owned(), num(n as u64));
-            }
-            m
+        let classes_of = |tally: Tally| {
+            Classification::ALL
+                .iter()
+                .map(|&class| (class.label().to_owned(), num(tally.of(class))))
+                .collect::<BTreeMap<_, _>>()
         };
 
         let mut sites = BTreeMap::new();
         for &site in &cfg.sites {
-            let mut table = classes_of(&|o: &CaseOutcome| o.site == Some(site));
-            let injected = self
-                .outcomes
-                .iter()
-                .filter(|o| o.site == Some(site))
-                .count();
-            table.insert("injected".to_owned(), num(injected as u64));
+            let tally = self.tally(Some(site));
+            let mut table = classes_of(tally);
+            table.insert("injected".to_owned(), num(tally.total()));
             sites.insert(site.label().to_owned(), Json::Obj(table));
         }
 
@@ -387,7 +400,10 @@ impl Report {
 
         let mut root = BTreeMap::new();
         root.insert("campaign".to_owned(), Json::Obj(campaign));
-        root.insert("classes".to_owned(), Json::Obj(classes_of(&|_| true)));
+        root.insert(
+            "classes".to_owned(),
+            Json::Obj(classes_of(self.tally(None))),
+        );
         root.insert("sites".to_owned(), Json::Obj(sites));
         root.insert("totals".to_owned(), Json::Obj(totals));
         root.insert("cases".to_owned(), Json::Arr(cases));
@@ -412,25 +428,13 @@ pub fn run(cfg: &CampaignConfig) -> Report {
 }
 
 fn run_typed<E: FaultTarget>(cfg: &CampaignConfig) -> Report {
-    let outcomes: Vec<CaseOutcome> = if cfg.jobs <= 1 || cfg.cases < 2 {
-        (0..cfg.cases).map(|i| run_case::<E>(cfg, i)).collect()
-    } else {
-        let jobs = cfg.jobs.min(cfg.cases as usize);
-        let per = (cfg.cases as usize).div_ceil(jobs);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|k| {
-                    let lo = (k * per) as u64;
-                    let hi = (((k + 1) * per) as u64).min(cfg.cases);
-                    scope.spawn(move || (lo..hi).map(|i| run_case::<E>(cfg, i)).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        })
-    };
+    let (_, outcomes) = shard::run(
+        cfg.jobs,
+        Some(cfg.cases),
+        None,
+        || (),
+        |(), i| Some(run_case::<E>(cfg, i)),
+    );
     let zero_fault_divergences = outcomes
         .iter()
         .filter(|o| cfg.zero_fault && o.class == Classification::Sdc)
@@ -685,5 +689,18 @@ fn run_case<E: FaultTarget>(cfg: &CampaignConfig, index: u64) -> CaseOutcome {
         machine_checks,
         scrubs,
         applied,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn class_table_is_in_declaration_order() {
+        // `Tally` indexes its counts by `class as usize`.
+        for (i, &class) in Classification::ALL.iter().enumerate() {
+            assert_eq!(class as usize, i, "{}", class.label());
+        }
     }
 }

@@ -10,10 +10,10 @@
 //! correction) before `mexit` re-executes the faulting instruction.
 //!
 //! Every campaign is a pure function of its seed: case seeds mix the
-//! campaign seed with the global case index, shards own contiguous
-//! index ranges, and the JSON report has sorted keys — so `mfault
-//! --seed S --cases N` is bit-reproducible across runs *and* across
-//! `--jobs` values.
+//! campaign seed with the global case index, the shared runner
+//! (`metal_util::shard`) merges outcomes in index order, and the JSON
+//! report has sorted keys — so `mfault --seed S --cases N` is
+//! bit-reproducible across runs *and* across `--jobs` values.
 //!
 //! * [`fault`] — fault specs (transient / stuck-at) and their
 //!   application to MRAM words, register files, TLB entries, cache
@@ -29,7 +29,7 @@ pub mod fault;
 pub mod workload;
 
 pub use campaign::{
-    run, CampaignConfig, CaseOutcome, Classification, EngineChoice, KindChoice, Report,
+    run, CampaignConfig, CaseOutcome, Classification, EngineChoice, KindChoice, Report, Tally,
     WorkloadKind,
 };
 pub use fault::{FaultKind, FaultSpec, FaultTarget};

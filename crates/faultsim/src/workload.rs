@@ -151,16 +151,9 @@ fn build_loop(cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
 
 fn build_fuzz(cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
     let case = metal_fuzz::grammar::generate(seed);
-    let mut builder = MetalBuilder::new();
-    for r in &case.routines {
-        builder = builder.routine(r.entry, &r.name, &r.src);
-    }
-    for &(cause, entry) in &case.delegations {
-        builder = builder.delegate_exception(cause, entry);
-    }
     let data_words = 0..16; // The grammar's mld/mst offsets stay below 64 bytes.
     finish(
-        builder,
+        case.metal_builder(),
         cfg,
         &case.guest,
         case.soft_tlb,

@@ -12,7 +12,10 @@
 //! are written to `--corpus DIR`; any divergence is shrunk to a small
 //! repro and written alongside as `div_*.s`.
 //!
-//! With `--cases N` a campaign is exactly reproducible from its seed.
+//! With `--cases N` a campaign is exactly reproducible from its seed:
+//! the report, corpus and divergences are the same for any `--jobs`.
+//! With `--seconds N` the deadline only decides how many cases run;
+//! findings are shrunk after it, so the command can run past it.
 //! With `--replay FILE` no fuzzing happens: the artifact is re-run and
 //! its recorded expectations checked — the exit code says whether the
 //! divergence it witnesses still exists.

@@ -17,7 +17,7 @@
 //!   timing perturbation is a bug.
 
 use crate::grammar::FuzzCase;
-use metal_core::{Metal, MetalBuilder, MetalStats};
+use metal_core::{Metal, MetalStats};
 use metal_isa::insn::{Insn, MulOp};
 use metal_isa::DispatchTag;
 use metal_pipeline::hooks::{CustomExec, DecodeOutcome, TrapDisposition, TrapEvent};
@@ -275,14 +275,8 @@ impl CaseRunner {
 
     /// Builds the per-case Metal extension and assembles the guest.
     fn prepare(case: &FuzzCase) -> Result<(Metal, Vec<u8>), BuildError> {
-        let mut builder = MetalBuilder::new();
-        for r in &case.routines {
-            builder = builder.routine(r.entry, &r.name, &r.src);
-        }
-        for &(cause, entry) in &case.delegations {
-            builder = builder.delegate_exception(cause, entry);
-        }
-        let (metal, palcode, _warnings) = builder
+        let (metal, palcode, _warnings) = case
+            .metal_builder()
             .build()
             .map_err(|e| BuildError(format!("metal build: {e:?}")))?;
         debug_assert!(palcode.is_empty(), "fuzz cases use MRAM dispatch");

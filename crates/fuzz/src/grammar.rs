@@ -15,6 +15,7 @@
 //! delegated handler exists to skip them, and all mroutines pass the
 //! static verifier (no escaping branches, no privileged leaks).
 
+use metal_core::MetalBuilder;
 use metal_pipeline::trap::TrapCause;
 use metal_util::Rng;
 
@@ -54,6 +55,21 @@ pub struct FuzzCase {
     pub soft_tlb: bool,
     /// Guest program source, assembled at address 0.
     pub guest: String,
+}
+
+impl FuzzCase {
+    /// A builder with the case's mroutines and delegations installed.
+    #[must_use]
+    pub fn metal_builder(&self) -> MetalBuilder {
+        let mut builder = MetalBuilder::new();
+        for r in &self.routines {
+            builder = builder.routine(r.entry, &r.name, &r.src);
+        }
+        for &(cause, entry) in &self.delegations {
+            builder = builder.delegate_exception(cause, entry);
+        }
+        builder
+    }
 }
 
 /// Entry used by the trap-skip handler.
@@ -370,14 +386,8 @@ mod tests {
         // bugs, not as boring rejects.
         for seed in 0..200u64 {
             let case = generate(seed);
-            let mut b = metal_core::MetalBuilder::new();
-            for r in &case.routines {
-                b = b.routine(r.entry, &r.name, &r.src);
-            }
-            for &(cause, entry) in &case.delegations {
-                b = b.delegate_exception(cause, entry);
-            }
-            b.build()
+            case.metal_builder()
+                .build()
                 .unwrap_or_else(|e| panic!("seed {seed}: build failed: {e:?}"));
             metal_asm::assemble_at(&case.guest, 0)
                 .unwrap_or_else(|e| panic!("seed {seed}: guest assembly failed: {e}"));

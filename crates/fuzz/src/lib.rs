@@ -16,16 +16,18 @@
 //!
 //! # Determinism
 //!
-//! Every case is identified by a seed derived from
-//! `(campaign seed, shard, index)` with a SplitMix64-style mixer, so:
+//! Case `i` of a campaign is generated from
+//! `case_seed(campaign seed, 0, i)`, a SplitMix64-style mix, whatever
+//! `--jobs` is. Workers run the cases in parallel, but the campaign
+//! merges them in index order (see [`run_campaign`]), so:
 //!
-//! * with `--cases N`, a campaign is **exactly** reproducible: same
-//!   seed ⇒ same cases, same corpus file names and contents, same
-//!   coverage count;
-//! * with `--seconds T`, the case *schedule* per shard is a fixed
-//!   sequence and the wall clock only decides the cut-off, so any
-//!   artifact the run produces is reproducible from its file name
-//!   alone (it encodes the case seed).
+//! * with `--cases N`, a campaign is **exactly** reproducible for any
+//!   `--jobs`: same seed ⇒ same cases, same corpus file names and
+//!   contents, same coverage count, same divergences;
+//! * with `--seconds T`, the wall clock only decides how many cases
+//!   ran (always a prefix of the schedule), so any artifact the run
+//!   produces is reproducible from its file name alone (it encodes the
+//!   case seed).
 
 pub mod artifact;
 pub mod coverage;
@@ -38,8 +40,8 @@ pub use coverage::CoverageMap;
 pub use exec::{BugKind, CaseResult, CaseRunner};
 pub use grammar::FuzzCase;
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use metal_util::shard;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Campaign parameters (the `mfuzz` command line).
@@ -47,11 +49,11 @@ use std::time::{Duration, Instant};
 pub struct CampaignConfig {
     /// Campaign seed; every case seed derives from it.
     pub seed: u64,
-    /// Worker shards.
+    /// Worker threads (the report is the same for any value).
     pub jobs: usize,
     /// Wall-clock budget.
     pub seconds: Option<u64>,
-    /// Exact case budget (split across shards; fully deterministic).
+    /// Exact case budget (fully deterministic).
     pub cases: Option<u64>,
     /// Where to write corpus and divergence artifacts.
     pub corpus_dir: Option<PathBuf>,
@@ -80,7 +82,7 @@ impl Default for CampaignConfig {
 }
 
 /// A minimized divergence, ready to report.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Divergence {
     /// Seed of the originating case.
     pub seed: u64,
@@ -95,9 +97,9 @@ pub struct Divergence {
 }
 
 /// What a campaign did.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct CampaignReport {
-    /// Cases executed (across all shards).
+    /// Cases executed.
     pub cases: u64,
     /// Cases that hit a run budget without halting.
     pub hangs: u64,
@@ -113,7 +115,7 @@ pub struct CampaignReport {
 
 /// SplitMix64-style mix of (campaign seed, shard, index) into a case
 /// seed. Stable across releases: artifact reproducibility depends on
-/// it.
+/// it. Campaigns pass shard 0 for every case.
 #[must_use]
 pub fn case_seed(campaign: u64, shard: u64, index: u64) -> u64 {
     let mut z = campaign
@@ -124,150 +126,118 @@ pub fn case_seed(campaign: u64, shard: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Divergences shrunk per shard before the rest are reported unshrunk.
+/// Findings shrunk per campaign, in case-index order, before the rest
+/// are reported unshrunk.
 const SHRINK_CAP: usize = 3;
 /// Predicate evaluations allowed per shrink.
 const SHRINK_BUDGET: usize = 2_000;
 
-struct ShardOutcome {
+/// An oracle: the artifact tag of its findings, and the check that
+/// gives `Some(description)` while a finding persists on a case.
+#[derive(Clone, Copy)]
+struct Oracle {
+    tag: &'static str,
+    check: fn(&FuzzCase, &CaseResult) -> Option<String>,
+}
+
+/// The engines disagree.
+const ENGINES: Oracle = Oracle {
+    tag: "div",
+    check: |_, result| result.divergence.clone(),
+};
+
+/// The linter claims clean about a unit that faults.
+const LINT: Oracle = Oracle {
+    tag: "lint",
+    check: |case, result| {
+        lint::check_case(case, &result.core.events, &result.interp.events)
+            .ok()
+            .flatten()
+    },
+};
+
+/// What a case hands to the campaign merge. Rejects, hangs and cases
+/// with nothing new for their worker's coverage map hand over nothing
+/// (a case that is not new to its worker's map, which only holds
+/// lower-index cases, cannot be new to the merged map either).
+enum Found {
+    /// Ran clean and set a bit new to its worker's map; the text is
+    /// built only when a corpus directory is set.
+    New {
+        features: CoverageMap,
+        text: Option<String>,
+    },
+    /// An oracle fired.
+    Finding { oracle: Oracle, what: String },
+}
+
+/// One worker's machines, novelty filter and counts.
+struct Worker {
+    runner: CaseRunner,
+    coverage: CoverageMap,
     cases: u64,
     hangs: u64,
     rejects: u64,
-    coverage: CoverageMap,
-    corpus: Vec<PathBuf>,
-    divergences: Vec<Divergence>,
 }
 
-fn run_shard(
-    config: &CampaignConfig,
-    shard: usize,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-    stop: &AtomicBool,
-) -> ShardOutcome {
-    let mut runner = CaseRunner::new(config.bug);
-    let mut out = ShardOutcome {
-        cases: 0,
-        hangs: 0,
-        rejects: 0,
-        coverage: CoverageMap::new(),
-        corpus: Vec::new(),
-        divergences: Vec::new(),
-    };
-    let mut index = 0u64;
-    loop {
-        if let Some(n) = budget {
-            if index >= n {
-                break;
-            }
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                break;
-            }
-        }
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let seed = case_seed(config.seed, shard as u64, index);
-        index += 1;
-        let case = grammar::generate(seed);
-        let result = match runner.run(&case) {
-            Ok(r) => r,
-            Err(_) => {
-                out.rejects += 1;
-                continue;
-            }
+impl Worker {
+    /// Runs campaign case `index`; `None` when it has nothing to merge.
+    fn run_case(&mut self, config: &CampaignConfig, index: u64) -> Option<Found> {
+        let case = grammar::generate(case_seed(config.seed, 0, index));
+        let Ok(result) = self.runner.run(&case) else {
+            self.rejects += 1;
+            return None;
         };
-        out.cases += 1;
+        self.cases += 1;
         if result.hang {
-            out.hangs += 1;
-            continue;
+            self.hangs += 1;
+            return None;
         }
-        if let Some(what) = result.divergence.clone() {
-            let div = minimize(&mut runner, &case, &what, config, shard, &mut out);
-            out.divergences.push(div);
-            continue;
+        let oracles: &[Oracle] = if config.lint {
+            &[ENGINES, LINT]
+        } else {
+            &[ENGINES]
+        };
+        if let Some((oracle, what)) = oracles
+            .iter()
+            .find_map(|&o| (o.check)(&case, &result).map(|what| (o, what)))
+        {
+            return Some(Found::Finding { oracle, what });
         }
-        if config.lint {
-            let finding = lint::check_case(&case, &result.core.events, &result.interp.events)
-                .ok()
-                .flatten();
-            if let Some(what) = finding {
-                let div = minimize_with(
-                    &mut runner,
-                    &case,
-                    &what,
-                    config,
-                    shard,
-                    &mut out,
-                    "lint",
-                    &|case, r| {
-                        lint::check_case(case, &r.core.events, &r.interp.events)
-                            .ok()
-                            .flatten()
-                    },
-                );
-                out.divergences.push(div);
-                continue;
-            }
-        }
-        let novel = out.coverage.observe_run(
+        let mut features = CoverageMap::new();
+        features.observe_run(
             &result.core.events,
             result.core.tags,
             exec::halt_kind(&result.core.halt),
         );
-        if novel {
-            if let Some(dir) = &config.corpus_dir {
-                let name = format!("c{shard:02}_{:06}_{seed:016x}.s", index - 1);
-                let path = dir.join(name);
-                let text = artifact::serialize(&case, &result.interp);
-                if std::fs::write(&path, text).is_ok() {
-                    out.corpus.push(path);
-                }
-            }
+        if !self.coverage.merge(&features) {
+            return None;
         }
+        let text = config
+            .corpus_dir
+            .as_ref()
+            .map(|_| artifact::serialize(&case, &result.interp));
+        Some(Found::New { features, text })
     }
-    out
 }
 
-/// Shrinks one engine divergence (up to the per-shard cap) and writes
-/// its artifact.
-fn minimize(
+/// Shrinks a finding (when `shrink` is set) under its oracle and writes
+/// its artifact as `{tag}_{seed}.s`.
+fn report_finding(
     runner: &mut CaseRunner,
     case: &FuzzCase,
-    what: &str,
-    config: &CampaignConfig,
-    shard: usize,
-    out: &mut ShardOutcome,
+    oracle: Oracle,
+    what: String,
+    shrink: bool,
+    corpus_dir: Option<&Path>,
 ) -> Divergence {
-    minimize_with(runner, case, what, config, shard, out, "div", &|_, r| {
-        r.divergence.clone()
-    })
-}
-
-/// Shrinks one finding under an arbitrary oracle and writes its
-/// artifact as `{tag}_{shard}_{seed}.s`. The oracle maps a re-run case
-/// to `Some(description)` while the finding persists; shrinking keeps
-/// any candidate for which it still fires.
-#[allow(clippy::too_many_arguments)]
-fn minimize_with(
-    runner: &mut CaseRunner,
-    case: &FuzzCase,
-    what: &str,
-    config: &CampaignConfig,
-    shard: usize,
-    out: &mut ShardOutcome,
-    tag: &str,
-    oracle: &dyn Fn(&FuzzCase, &exec::CaseResult) -> Option<String>,
-) -> Divergence {
-    let shrunk = if config.shrink && out.divergences.len() < SHRINK_CAP {
+    let shrunk = if shrink {
         shrink::shrink(
             case,
             |cand| {
                 runner
                     .run(cand)
-                    .map(|r| !r.hang && oracle(cand, &r).is_some())
+                    .map(|r| !r.hang && (oracle.check)(cand, &r).is_some())
                     .unwrap_or(false)
             },
             SHRINK_BUDGET,
@@ -278,20 +248,14 @@ fn minimize_with(
     // Re-run the final case: the artifact records the *reference*
     // expectations, so replay keeps failing while the bug lives.
     let (what, reference) = match runner.run(&shrunk) {
-        Ok(r) => {
-            let what = oracle(&shrunk, &r).unwrap_or_else(|| what.to_owned());
-            (what, Some(r.interp))
-        }
-        Err(_) => (what.to_owned(), None),
+        Ok(r) => ((oracle.check)(&shrunk, &r).unwrap_or(what), Some(r.interp)),
+        Err(_) => (what, None),
     };
-    let artifact = match (&config.corpus_dir, &reference) {
-        (Some(dir), Some(reference)) => {
-            let path = dir.join(format!("{tag}_{shard:02}_{:016x}.s", case.seed));
-            let text = artifact::serialize(&shrunk, reference);
-            std::fs::write(&path, text).ok().map(|()| path)
-        }
-        _ => None,
-    };
+    let artifact = corpus_dir.zip(reference).and_then(|(dir, reference)| {
+        let path = dir.join(format!("{}_{:016x}.s", oracle.tag, case.seed));
+        let text = artifact::serialize(&shrunk, &reference);
+        std::fs::write(&path, text).ok().map(|()| path)
+    });
     Divergence {
         seed: case.seed,
         what,
@@ -303,49 +267,65 @@ fn minimize_with(
 
 /// Runs a fuzzing campaign across `config.jobs` worker threads.
 ///
-/// With a `cases` budget the split is exact (`n / jobs` each, the
-/// remainder spread over the first shards) so results are bit-for-bit
-/// reproducible. With only a `seconds` budget, shards run their fixed
-/// per-shard schedule until the deadline.
+/// Case `i` is `grammar::generate(case_seed(seed, 0, i))` whatever the
+/// worker count, and the shared runner ([`metal_util::shard::run`])
+/// hands the cases' findings and coverage to the merge in index order.
+/// The merge keeps a case in the corpus when it sets a bit new to the
+/// merged coverage map, shrinks the first three findings on the
+/// calling thread, and writes the artifacts. So with a `cases` budget
+/// the report, its divergences and the corpus are the same for every
+/// `jobs` value. With only a `seconds` budget the deadline decides how
+/// many cases ran; shrinking happens after it.
 #[must_use]
 pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
-    let jobs = config.jobs.max(1);
-    if let Some(dir) = &config.corpus_dir {
+    let corpus_dir = config.corpus_dir.as_deref();
+    if let Some(dir) = corpus_dir {
         let _ = std::fs::create_dir_all(dir);
     }
     let deadline = config
         .seconds
         .map(|s| Instant::now() + Duration::from_secs(s));
-    let budgets: Vec<Option<u64>> = (0..jobs)
-        .map(|shard| {
-            config.cases.map(|n| {
-                let base = n / jobs as u64;
-                let extra = u64::from((shard as u64) < n % jobs as u64);
-                base + extra
-            })
-        })
-        .collect();
-    let stop = AtomicBool::new(false);
-    let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|shard| {
-                let config = &*config;
-                let stop = &stop;
-                let budget = budgets[shard];
-                scope.spawn(move || run_shard(config, shard, budget, deadline, stop))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let (workers, found) = shard::run(
+        config.jobs,
+        config.cases,
+        deadline,
+        || Worker {
+            runner: CaseRunner::new(config.bug),
+            coverage: CoverageMap::new(),
+            cases: 0,
+            hangs: 0,
+            rejects: 0,
+        },
+        |worker, index| worker.run_case(config, index).map(|f| (index, f)),
+    );
     let mut report = CampaignReport::default();
+    for w in &workers {
+        report.cases += w.cases;
+        report.hangs += w.hangs;
+        report.rejects += w.rejects;
+    }
+    let mut runner = workers.into_iter().next().map(|w| w.runner);
     let mut merged = CoverageMap::new();
-    for out in outcomes {
-        report.cases += out.cases;
-        report.hangs += out.hangs;
-        report.rejects += out.rejects;
-        merged.merge(&out.coverage);
-        report.corpus.extend(out.corpus);
-        report.divergences.extend(out.divergences);
+    for (index, found) in found {
+        let seed = case_seed(config.seed, 0, index);
+        match found {
+            Found::New { features, text } => {
+                let novel = merged.merge(&features);
+                if let (true, Some(dir), Some(text)) = (novel, corpus_dir, text) {
+                    let path = dir.join(format!("c{index:06}_{seed:016x}.s"));
+                    if std::fs::write(&path, text).is_ok() {
+                        report.corpus.push(path);
+                    }
+                }
+            }
+            Found::Finding { oracle, what } => {
+                let runner = runner.as_mut().expect("a case ran, so a worker exists");
+                let shrink = config.shrink && report.divergences.len() < SHRINK_CAP;
+                let case = grammar::generate(seed);
+                let div = report_finding(runner, &case, oracle, what, shrink, corpus_dir);
+                report.divergences.push(div);
+            }
+        }
     }
     report.coverage = merged.count();
     report
@@ -386,6 +366,23 @@ mod tests {
         assert_eq!(a.divergences.len(), b.divergences.len());
         assert!(a.cases + a.rejects == 40);
         assert_eq!(a.divergences.len(), 0, "clean engines must not diverge");
+    }
+
+    /// More workers than cases: the runner starts one per case and the
+    /// report is the one-worker report.
+    #[test]
+    fn more_jobs_than_cases_matches_one_job() {
+        let run = |jobs| {
+            run_campaign(&CampaignConfig {
+                seed: 5,
+                jobs,
+                cases: Some(4),
+                ..CampaignConfig::default()
+            })
+        };
+        let one = run(1);
+        assert_eq!(one.cases + one.rejects, 4);
+        assert_eq!(run(50_000), one);
     }
 
     /// With `--lint` on and unmodified engines, a campaign reports no

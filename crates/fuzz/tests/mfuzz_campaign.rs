@@ -14,43 +14,49 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn same_seed_same_campaign() {
-    // Acceptance: `mfuzz --cases N --jobs 4 --seed 1` is deterministic —
-    // same corpus (names and contents) and same coverage count.
-    let run = |dir: &std::path::Path| {
-        run_campaign(&CampaignConfig {
+    // Acceptance: `mfuzz --cases N --seed 1` is deterministic for any
+    // `--jobs` — same counts, same coverage, same corpus (names and
+    // contents).
+    let run = |jobs: usize| {
+        let dir = temp_dir(&format!("det-j{jobs}"));
+        let report = run_campaign(&CampaignConfig {
             seed: 1,
-            jobs: 4,
-            cases: Some(160),
-            corpus_dir: Some(dir.to_path_buf()),
+            jobs,
+            cases: Some(300),
+            corpus_dir: Some(dir.clone()),
             ..CampaignConfig::default()
-        })
-    };
-    let dir_a = temp_dir("det-a");
-    let dir_b = temp_dir("det-b");
-    let a = run(&dir_a);
-    let b = run(&dir_b);
-    assert_eq!(a.cases, b.cases);
-    assert_eq!(a.coverage, b.coverage);
-    assert!(a.coverage > 0, "campaign observed no coverage");
-    assert!(!a.corpus.is_empty(), "campaign kept no seeds");
-    assert_eq!(a.divergences.len(), 0, "clean engines diverged");
-    let names = |dir: &std::path::Path| {
-        let mut v: Vec<String> = std::fs::read_dir(dir)
+        });
+        let mut corpus: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
             .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .map(|e| {
+                let e = e.unwrap();
+                let bytes = std::fs::read(e.path()).unwrap();
+                (e.file_name().into_string().unwrap(), bytes)
+            })
             .collect();
-        v.sort();
-        v
+        corpus.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        (report, corpus)
     };
-    let (na, nb) = (names(&dir_a), names(&dir_b));
-    assert_eq!(na, nb, "corpus file sets differ");
-    for name in &na {
-        let ca = std::fs::read_to_string(dir_a.join(name)).unwrap();
-        let cb = std::fs::read_to_string(dir_b.join(name)).unwrap();
-        assert_eq!(ca, cb, "artifact {name} differs between runs");
+    let (a, corpus_a) = run(1);
+    assert!(a.coverage > 0, "campaign observed no coverage");
+    assert!(!corpus_a.is_empty(), "campaign kept no seeds");
+    assert_eq!(a.divergences.len(), 0, "clean engines diverged");
+    for jobs in [2, 3] {
+        let (b, corpus_b) = run(jobs);
+        let counts = |r: &metal_fuzz::CampaignReport| (r.cases, r.hangs, r.rejects, r.coverage);
+        assert_eq!(counts(&a), counts(&b), "--jobs 1 vs --jobs {jobs}");
+        let names = |c: &[(String, Vec<u8>)]| c.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&corpus_a),
+            names(&corpus_b),
+            "corpus file sets differ at --jobs {jobs}"
+        );
+        assert!(
+            corpus_a == corpus_b,
+            "corpus contents differ at --jobs {jobs}"
+        );
     }
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 #[test]
@@ -58,15 +64,26 @@ fn injected_bug_is_found_shrunk_and_replayable() {
     // Acceptance: a seeded engine bug (mul low-bit flip on the cores)
     // is found, shrunk to <= 12 instructions, and the written artifact
     // fails replay while the bug exists and passes once it is gone.
+    // The findings, in index order, do not depend on `--jobs`.
     let dir = temp_dir("bug");
-    let report = run_campaign(&CampaignConfig {
-        seed: 7,
-        jobs: 2,
-        cases: Some(400),
-        corpus_dir: Some(dir.clone()),
-        bug: BugKind::MulLowBit,
-        ..CampaignConfig::default()
-    });
+    let run = |jobs: usize| {
+        run_campaign(&CampaignConfig {
+            seed: 7,
+            jobs,
+            cases: Some(400),
+            corpus_dir: Some(dir.clone()),
+            bug: BugKind::MulLowBit,
+            ..CampaignConfig::default()
+        })
+    };
+    let report = run(2);
+    let findings = |r: &metal_fuzz::CampaignReport| {
+        r.divergences
+            .iter()
+            .map(|d| (d.seed, d.what.clone(), d.insns))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(findings(&run(1)), findings(&report), "--jobs 1 vs --jobs 2");
     assert!(
         !report.divergences.is_empty(),
         "injected bug not found in {} cases",

@@ -10,10 +10,13 @@
 //!   snapshots and Chrome trace-event files.
 //! * [`cli`] — the argument-parsing helpers shared by the `msim`,
 //!   `masm`, and `mdis` binaries.
+//! * [`shard`] — the deterministic case runner behind the `mfuzz` and
+//!   `mfault` campaigns.
 
 pub mod cli;
 pub mod json;
 pub mod rng;
+pub mod shard;
 
 pub use json::{Json, JsonError};
 pub use rng::Rng;

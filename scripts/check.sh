@@ -44,6 +44,13 @@ if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     echo "==> fuzz smoke (CHECK_FUZZ=1)"
     # A short real campaign: any divergence fails the gate.
     target/release/mfuzz --seconds 10 --jobs 2 --seed 1
+    # A --cases campaign must print the same report for any --jobs.
+    out=$(mktemp -d)
+    for jobs in 1 2; do
+        target/release/mfuzz --cases 1000 --seed 1 --jobs "$jobs" > "$out/jobs$jobs.txt"
+    done
+    cmp "$out/jobs1.txt" "$out/jobs2.txt"
+    rm -r "$out"
     # The committed corpus must keep replaying bit-identically, and
     # every artifact must stay free of lint-soundness disagreements.
     for f in tests/corpus/*.s; do
