@@ -13,6 +13,8 @@
 //! * [`delegate`] — exception/interrupt delegation maps.
 //! * [`loader`] / [`verify`] — the boot-time mroutine loader and static
 //!   verifier.
+//! * [`arch`] — the one definition of architectural state that the
+//!   campaign tools and differential tests compare.
 //!
 //! # Quick start
 //!
@@ -34,6 +36,7 @@
 //! assert_eq!(core.run(10_000), Some(HaltReason::Ebreak { code: 42 }));
 //! ```
 
+pub mod arch;
 pub mod delegate;
 pub mod ecc;
 pub mod intercept;

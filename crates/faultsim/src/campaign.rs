@@ -29,16 +29,19 @@
 //! must match golden (`corrected-rollback`); a stuck-at fault
 //! persists and stays `uncorrectable`.
 //!
-//! The digest covers guest registers, the halt reason, RAM, and MRAM
-//! data — the architecturally-visible outcome. Metal scratch
-//! registers, cycle and instruction counts are excluded: a recovered
-//! run legitimately executes extra (recovery) instructions.
+//! Runs are compared by digests of the state sets that
+//! [`metal_core::arch`] names: [`arch::OUTCOME`] (guest registers, the
+//! halt reason, RAM and MRAM data) against golden, because a recovered
+//! run legitimately executes extra (recovery) instructions; and
+//! [`arch::FULL`], which adds Metal registers, cycles, `instret` and
+//! the ASID, for `--zero-fault` reruns.
 
 use crate::fault::{FaultKind, FaultSpec, FaultTarget, CACHE_DSIDE};
 use crate::workload;
+use metal_core::arch::{self, Machine};
 use metal_core::{EccMode, Metal};
 use metal_pipeline::state::{CoreConfig, TranslationMode};
-use metal_pipeline::{Core, Engine, HaltReason, Interp};
+use metal_pipeline::{Core, HaltReason, Interp};
 use metal_trace::FaultSite;
 use metal_util::json::Json;
 use metal_util::{shard, Rng};
@@ -445,46 +448,6 @@ fn run_typed<E: FaultTarget>(cfg: &CampaignConfig) -> Report {
     }
 }
 
-/// Digest of the architecturally-visible machine state (FNV-1a).
-fn digest<E: Engine<Hooks = Metal>>(engine: &E, full: bool) -> u64 {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
-    let state = engine.state();
-    for r in state.regs.snapshot() {
-        eat(&r.to_le_bytes());
-    }
-    match &state.halted {
-        None => eat(&[0]),
-        Some(HaltReason::Ebreak { code }) => {
-            eat(&[1]);
-            eat(&code.to_le_bytes());
-        }
-        Some(HaltReason::Fatal(msg)) => {
-            eat(&[2]);
-            eat(msg.as_bytes());
-        }
-        Some(HaltReason::Timeout) => eat(&[3]),
-    }
-    let ram = &state.bus.ram;
-    eat(ram.dump(0, ram.size() as u32).expect("full-RAM dump"));
-    eat(engine.hooks().mram.data());
-    if full {
-        for n in 0..32 {
-            eat(&engine.hooks().mregs.get(n).to_le_bytes());
-        }
-        eat(&state.perf.cycles.to_le_bytes());
-        eat(&state.perf.instret.to_le_bytes());
-        eat(&state.asid.to_le_bytes());
-    }
-    h
-}
-
 /// Draws a fault spec from the case RNG and the workload's live-site
 /// map. Sites without readable words degrade stuck-at to transient.
 fn draw_spec<E: FaultTarget>(
@@ -594,16 +557,16 @@ fn run_case<E: FaultTarget>(cfg: &CampaignConfig, index: u64) -> CaseOutcome {
         return skipped(index);
     }
     let golden_instret = engine.state().perf.instret;
-    let golden = digest(&engine, false);
+    let golden = arch::digest(Machine::of(&engine), arch::OUTCOME);
 
     if cfg.zero_fault {
         // No injection: rewinding and re-running must reproduce the
         // golden run *exactly*, including timing and Metal scratch
         // state — proof the harness itself perturbs nothing.
-        let golden_full = digest(&engine, true);
+        let golden_full = arch::digest(Machine::of(&engine), arch::FULL);
         engine.restore(&pristine);
         let _ = engine.run_fuel(FUEL);
-        let class = if digest(&engine, true) == golden_full {
+        let class = if arch::digest(Machine::of(&engine), arch::FULL) == golden_full {
             Classification::Masked
         } else {
             Classification::Sdc
@@ -665,12 +628,12 @@ fn run_case<E: FaultTarget>(cfg: &CampaignConfig, index: u64) -> CaseOutcome {
                 }
             }
         }
-        if digest(&engine, false) == golden {
+        if arch::digest(Machine::of(&engine), arch::OUTCOME) == golden {
             Classification::CorrectedRollback
         } else {
             Classification::Uncorrectable
         }
-    } else if digest(&engine, false) == golden {
+    } else if arch::digest(Machine::of(&engine), arch::OUTCOME) == golden {
         if machine_checks > 0 {
             Classification::CorrectedRetry
         } else {

@@ -219,6 +219,14 @@ pub fn parse(content: &str) -> Result<(FuzzCase, Expectations), String> {
             other => return Err(err(format!("unknown directive {other:?}"))),
         }
     }
+    // `serialize` always writes these three; without them a replay
+    // would check nothing and pass.
+    if case.guest.is_empty() {
+        return Err("no guest program".to_owned());
+    }
+    if expect.halt.is_none() || expect.instret.is_none() {
+        return Err("missing `expect halt` or `expect instret`".to_owned());
+    }
     Ok((case, expect))
 }
 
@@ -353,5 +361,9 @@ mod tests {
         assert!(parse("frobnicate 1 2\n").is_err());
         assert!(parse("| stray body line\n").is_err());
         assert!(parse("delegate 99999 2\n").is_err());
+        // Text with nothing to check is not an artifact.
+        assert!(parse("").is_err());
+        assert!(parse("# comment\n").is_err());
+        assert!(parse("guest\n| li a0, 1\n| ebreak\n").is_err());
     }
 }

@@ -7,8 +7,10 @@
 //!
 //! Generates Metal programs from a weighted grammar and runs each on
 //! the pipelined core (decode cache on and off) and the reference
-//! interpreter, diffing architectural state, retirement order, Metal
-//! statistics, and cycle counts. Interesting cases (new coverage bits)
+//! interpreter, diffing the architectural state of
+//! `metal_core::arch::DIFFERENTIAL` and the retirement order against
+//! the interpreter, and `metal_core::arch::ALL` (cycle counts
+//! included) between the two cores. Interesting cases (new coverage bits)
 //! are written to `--corpus DIR`; any divergence is shrunk to a small
 //! repro and written alongside as `div_*.s`.
 //!

@@ -7,23 +7,27 @@
 //! copies, microseconds instead of a rebuild — and only the per-case
 //! Metal extension (mroutines, delegations) is constructed fresh.
 //!
-//! The differential oracle is two-sided:
+//! The differential oracle compares the architectural state that
+//! [`metal_core::arch`] defines — halt, registers, CSRs, ASID,
+//! translation mode, TLB and page keys, guest RAM, Metal registers,
+//! MRAM data, Metal stats, `instret` — and is two-sided:
 //!
 //! * **cross-engine**: core (decode cache on) vs interpreter must agree
-//!   on halt, registers, Metal registers, MRAM data, Metal stats,
-//!   `instret`, and the retirement order;
-//! * **cross-configuration**: the two cores must agree on *cycle
-//!   counts* — the decode cache is a host-side optimization and any
-//!   timing perturbation is a bug.
+//!   on [`arch::DIFFERENTIAL`] (everything but `cycles`) and on the
+//!   retirement order;
+//! * **cross-configuration**: the two cores must agree on [`arch::ALL`],
+//!   *cycle counts* included — the decode cache is a host-side
+//!   optimization and any timing perturbation is a bug.
 
-use crate::grammar::FuzzCase;
-use metal_core::{Metal, MetalStats};
+use crate::grammar::{FuzzCase, SCRATCH_BASE};
+use metal_core::arch::{self, Machine};
+use metal_core::Metal;
 use metal_isa::insn::{Insn, MulOp};
 use metal_isa::DispatchTag;
 use metal_pipeline::hooks::{CustomExec, DecodeOutcome, TrapDisposition, TrapEvent};
 use metal_pipeline::state::{CoreConfig, MachineState, TranslationMode};
 use metal_pipeline::{Core, Engine, EngineSnapshot, HaltReason, Hooks, Interp, Trap};
-use metal_trace::{Event, EventKind, TraceConfig, TraceHandle};
+use metal_trace::{Event, TraceConfig, TraceHandle};
 
 /// Cycle budget per case on the pipelined cores.
 pub const CORE_LIMIT: u64 = 2_000_000;
@@ -173,12 +177,6 @@ pub struct EngineRun {
     pub mregs: [u32; 32],
     /// Final MRAM private-data segment.
     pub mram_data: Vec<u8>,
-    /// Metal transition/delegation counters.
-    pub stats: MetalStats,
-    /// Final ASID.
-    pub asid: u16,
-    /// Elapsed cycles (steps on the interpreter).
-    pub cycles: u64,
     /// Retired instructions.
     pub instret: u64,
     /// Retirement order (first [`RETIRE_CAP`] PCs) and total count.
@@ -235,8 +233,14 @@ pub struct CaseRunner {
     bug: BugKind,
 }
 
-/// RAM size of the fuzzing machines — small keeps restore fast.
-pub const FUZZ_RAM: usize = 1 << 20;
+/// RAM size of the fuzzing machines. Generated programs touch only
+/// their own code at address 0 and the 64-byte scratch window at
+/// [`SCRATCH_BASE`], so 64 KiB holds every case with room to spare and
+/// keeps both the per-case restore and the RAM comparison cheap. An
+/// engine that wrongly writes beyond RAM takes an access fault, which
+/// the halt and CSR comparison reports.
+pub const FUZZ_RAM: usize = 64 << 10;
+const _: () = assert!(SCRATCH_BASE as usize + 64 <= FUZZ_RAM);
 
 fn fuzz_config(decode_cache: bool) -> CoreConfig {
     CoreConfig {
@@ -310,18 +314,11 @@ impl CaseRunner {
         let halt = Some(engine.run_fuel(limit));
         let state = engine.state();
         let hooks = engine.hooks();
-        let mut mregs = [0u32; 32];
-        for (n, m) in mregs.iter_mut().enumerate() {
-            *m = hooks.metal.mregs.get(n);
-        }
         EngineRun {
             halt,
             regs: state.regs.snapshot(),
-            mregs,
+            mregs: std::array::from_fn(|n| hooks.metal.mregs.get(n)),
             mram_data: hooks.metal.mram.data().to_vec(),
-            stats: hooks.metal.stats,
-            asid: state.asid,
-            cycles: state.perf.cycles,
             instret: state.perf.instret,
             retired: hooks.retired.clone(),
             retired_total: hooks.retired_total,
@@ -366,7 +363,7 @@ impl CaseRunner {
         let divergence = if hang {
             None
         } else {
-            diff_runs(&core, &nodc, &interp)
+            self.diff(&core, &nodc, &interp)
         };
         Ok(CaseResult {
             divergence,
@@ -375,110 +372,63 @@ impl CaseRunner {
             interp,
         })
     }
-}
 
-/// Compares the three runs; `Some(description)` on the first mismatch.
-fn diff_runs(core: &EngineRun, nodc: &EngineRun, interp: &EngineRun) -> Option<String> {
-    // Cross-engine: core (decode cache on) vs the reference interpreter.
-    if core.halt != interp.halt {
-        return Some(format!(
-            "halt: core={:?} interp={:?}",
-            core.halt, interp.halt
-        ));
-    }
-    if matches!(core.halt, Some(HaltReason::Fatal(_))) {
-        // A Fatal stop is a simulator abort, not architectural
-        // behavior: the pipeline abandons older in-flight instructions
-        // (they never reach writeback), so fine-grained state is
-        // best-effort there. Both engines agreeing on the identical
-        // fatal message (cause, pc, tval) is the whole contract; the
-        // two pipelined cores are still held to full equality below.
-        return diff_cores(core, nodc);
-    }
-    for i in 0..32 {
-        if core.regs[i] != interp.regs[i] {
+    /// Applies both oracles to the halted machines; `Some(description)`
+    /// on the first mismatch.
+    fn diff(&self, core: &EngineRun, nodc: &EngineRun, interp: &EngineRun) -> Option<String> {
+        let (on, off, reference) = (
+            machine(&self.core_dc),
+            machine(&self.core_nodc),
+            machine(&self.interp),
+        );
+        // A Fatal stop is a simulator abort, not architectural behavior:
+        // the pipeline abandons older in-flight instructions (they never
+        // reach writeback), so fine-grained state is best-effort there.
+        // Both engines agreeing on the identical fatal message (cause,
+        // pc, tval) is the whole contract; the two pipelined cores are
+        // still held to full equality below.
+        let fatal = matches!(core.halt, Some(HaltReason::Fatal(_)));
+        let set = if fatal {
+            arch::HALT
+        } else {
+            arch::DIFFERENTIAL
+        };
+        if let Some(d) = arch::first_difference(on, reference, set) {
+            return Some(format!("{}: core={} interp={}", d.field, d.left, d.right));
+        }
+        if !fatal && (core.retired_total != interp.retired_total || core.retired != interp.retired)
+        {
+            let first = core
+                .retired
+                .iter()
+                .zip(&interp.retired)
+                .position(|(a, b)| a != b);
             return Some(format!(
-                "x{i}: core={:#010x} interp={:#010x}",
-                core.regs[i], interp.regs[i]
+                "retirement order diverged (first mismatch at index {first:?})"
             ));
         }
-        if core.mregs[i] != interp.mregs[i] {
+        if let Some(d) = arch::first_difference(on, off, arch::ALL) {
             return Some(format!(
-                "m{i}: core={:#010x} interp={:#010x}",
-                core.mregs[i], interp.mregs[i]
+                "decode cache perturbed {}: on={} off={}",
+                d.field, d.left, d.right
             ));
         }
+        (core.retired != nodc.retired).then(|| "decode cache perturbed retirement order".to_owned())
     }
-    if core.mram_data != interp.mram_data {
-        return Some("MRAM data segments differ".to_owned());
-    }
-    if core.stats != interp.stats {
-        return Some(format!(
-            "Metal stats: core={:?} interp={:?}",
-            core.stats, interp.stats
-        ));
-    }
-    if core.asid != interp.asid {
-        return Some(format!("asid: core={} interp={}", core.asid, interp.asid));
-    }
-    if core.instret != interp.instret {
-        return Some(format!(
-            "instret: core={} interp={}",
-            core.instret, interp.instret
-        ));
-    }
-    if core.retired_total != interp.retired_total || core.retired != interp.retired {
-        let first = core
-            .retired
-            .iter()
-            .zip(&interp.retired)
-            .position(|(a, b)| a != b);
-        return Some(format!(
-            "retirement order diverged (first mismatch at index {first:?})"
-        ));
-    }
-    diff_cores(core, nodc)
 }
 
-/// Cross-configuration oracle: the decode cache must not perturb
-/// timing or architecture.
-fn diff_cores(core: &EngineRun, nodc: &EngineRun) -> Option<String> {
-    if core.halt != nodc.halt {
-        return Some(format!(
-            "decode cache perturbed halt: on={:?} off={:?}",
-            core.halt, nodc.halt
-        ));
+fn machine<E: Engine<Hooks = FuzzHooks>>(engine: &E) -> Machine<'_> {
+    Machine {
+        state: engine.state(),
+        metal: &engine.hooks().metal,
     }
-    if core.cycles != nodc.cycles {
-        return Some(format!(
-            "decode cache perturbed cycles: on={} off={}",
-            core.cycles, nodc.cycles
-        ));
-    }
-    if core.regs != nodc.regs || core.retired != nodc.retired {
-        return Some("decode cache perturbed architectural state".to_owned());
-    }
-    None
-}
-
-/// The retirement-order events of a run, for tests that want to inspect
-/// the sequence the trace saw (pipeline only; the interpreter reports
-/// through [`EngineRun::retired`]).
-#[must_use]
-pub fn retire_pcs(events: &[Event]) -> Vec<u32> {
-    events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Retire { pc } => Some(pc),
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grammar::{self, RoutineSpec};
+    use metal_trace::EventKind;
 
     #[test]
     fn clean_engines_agree_over_many_seeds() {
@@ -562,9 +512,9 @@ mod tests {
         runner.run(&b).unwrap();
         let again = runner.run(&a).unwrap();
         assert_eq!(first.core.regs, again.core.regs);
-        assert_eq!(first.core.cycles, again.core.cycles);
         assert_eq!(first.core.instret, again.core.instret);
         assert_eq!(first.interp.regs, again.interp.regs);
-        assert_eq!(first.core.events.len(), again.core.events.len());
+        // The cycle-stamped trace pins timing as well as order.
+        assert_eq!(first.core.events, again.core.events);
     }
 }

@@ -3,9 +3,10 @@
 //! `metal-fuzz` closes the loop the differential tests open by hand:
 //! it *generates* Metal programs from a weighted grammar ([`grammar`]),
 //! runs each on the cycle-accurate core (twice: decode cache on and
-//! off) and the reference interpreter ([`exec`]), and diffs
-//! architectural state, retirement order, Metal statistics, and cycle
-//! counts. Novelty is judged by a compact coverage bitmap fed from
+//! off) and the reference interpreter ([`exec`]), and diffs the
+//! architectural state [`metal_core::arch`] defines (guest RAM, CSRs
+//! and the TLB included), the retirement order, and — between the two
+//! cores — cycle counts. Novelty is judged by a compact coverage bitmap fed from
 //! `metal-trace` events ([`coverage`]); interesting inputs are kept as
 //! human-readable, replayable artifacts ([`artifact`]); diverging
 //! inputs are minimized to small repros ([`shrink`]).

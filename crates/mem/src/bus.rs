@@ -122,12 +122,21 @@ impl Bus {
 
     /// Captures everything [`Bus::restore`] needs to rewind the bus:
     /// RAM contents plus the code-residency bitmap and its generation.
-    /// Device windows are *not* captured — snapshot/restore serves
-    /// device-less differential runs (the fuzzer resets a machine
-    /// thousands of times per second); restoring a bus with devices
-    /// attached leaves the devices untouched.
+    /// Snapshot/restore serves device-less runs (the fuzzer and the
+    /// fault campaigns reset a machine thousands of times per second);
+    /// device state cannot be captured, so a bus with devices refuses.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the device, if any device window is attached.
     #[must_use]
     pub fn snapshot(&self) -> BusSnapshot {
+        if let Some(w) = self.windows.first() {
+            panic!(
+                "cannot snapshot a bus with device {:?} attached: device state is not captured",
+                w.device.name()
+            );
+        }
         BusSnapshot {
             ram: self.ram.clone(),
             code_lines: self.code_lines.clone(),
@@ -485,6 +494,12 @@ mod tests {
         let small = Bus::new(2048);
         let mut big = Bus::new(4096);
         big.restore(&small.snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "device \"scratch\" attached")]
+    fn snapshot_refuses_attached_devices() {
+        let _ = bus().snapshot();
     }
 
     #[test]

@@ -353,9 +353,21 @@ impl Tlb {
     /// Iterates over valid entries as `(vpn, asid, pte)` for diagnostics
     /// and invariant checks.
     pub fn iter_entries(&self) -> impl Iterator<Item = (u32, u16, Pte)> + '_ {
+        self.slots().flatten()
+    }
+
+    /// Every slot in slot order as `(vpn, asid, pte)`, `None` when
+    /// empty: the TLB's architectural contents (LRU stamps excluded).
+    pub fn slots(&self) -> impl Iterator<Item = Option<(u32, u16, Pte)>> + '_ {
         self.entries
             .iter()
-            .filter_map(|e| e.map(|e| (e.vpn, e.asid, e.pte)))
+            .map(|e| e.map(|e| (e.vpn, e.asid, e.pte)))
+    }
+
+    /// The permission mask of every page key, in key order.
+    #[must_use]
+    pub fn key_masks(&self) -> &[u32] {
+        &self.key_perms
     }
 }
 

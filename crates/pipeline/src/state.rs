@@ -349,8 +349,9 @@ impl DecodeCache {
 /// The trace handle is deliberately *not* captured: trace rings are
 /// shared observation channels, not machine state, and a restored
 /// machine keeps whatever handle it currently has (subsystem handles are
-/// reattached by `restore`). Device windows on the bus are likewise not
-/// captured — see [`Bus::snapshot`].
+/// reattached by `restore`). Device state cannot be captured, so a
+/// machine with devices on its bus refuses to snapshot — see
+/// [`Bus::snapshot`].
 #[derive(Clone, Debug)]
 pub struct MachineSnapshot {
     regs: RegFile,
@@ -432,6 +433,10 @@ impl MachineState {
 
     /// Captures every architectural and micro-architectural field into a
     /// [`MachineSnapshot`] for later [`MachineState::restore`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a device is attached to the bus (see [`Bus::snapshot`]).
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {

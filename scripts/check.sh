@@ -50,6 +50,8 @@ if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
         target/release/mfuzz --cases 1000 --seed 1 --jobs "$jobs" > "$out/jobs$jobs.txt"
     done
     cmp "$out/jobs1.txt" "$out/jobs2.txt"
+    # ... and the report itself must not move.
+    diff tests/golden/mfuzz_cases1000_seed1.txt "$out/jobs1.txt"
     rm -r "$out"
     # The committed corpus must keep replaying bit-identically, and
     # every artifact must stay free of lint-soundness disagreements.
@@ -79,6 +81,8 @@ if [[ "${CHECK_FAULT:-0}" == "1" ]]; then
             > /dev/null
     done
     cmp "$out/jobs1.json" "$out/jobs2.json"
+    # ... and the classification itself must not move.
+    diff tests/golden/mfault_seed7_fuzz.json "$out/jobs1.json"
     rm -r "$out"
 fi
 

@@ -4,10 +4,12 @@
 //! through these helpers, which are written once against
 //! [`metal_pipeline::Engine`]: boot a Metal-enabled machine of either
 //! engine type, run a guest, and (for differential tests) assert the
-//! two engines ended in identical architectural state.
+//! two engines ended in identical architectural state, as
+//! [`metal_core::arch::DIFFERENTIAL`] defines it.
 
 #![allow(dead_code)]
 
+use metal_core::arch::{self, Machine};
 use metal_core::{Metal, MetalBuilder};
 use metal_mem::devices::{map, Console, Timer};
 use metal_pipeline::state::CoreConfig;
@@ -50,13 +52,13 @@ pub struct EnginePair {
 }
 
 /// Runs `src` on both engines with the default configuration; asserts
-/// identical halt and register state.
+/// identical architectural state.
 pub fn both_engines(builder: MetalBuilder, src: &str) -> EnginePair {
     both_engines_with(CoreConfig::default(), builder, src, "differential")
 }
 
-/// Runs `src` on both engines, asserting identical halt reason and
-/// register file; `label` prefixes assertion messages.
+/// Runs `src` on both engines, asserting identical architectural state
+/// (everything but `cycles`); `label` prefixes assertion messages.
 pub fn both_engines_with(
     config: CoreConfig,
     builder: MetalBuilder,
@@ -66,16 +68,11 @@ pub fn both_engines_with(
     let program = assemble_flat(src);
     let (core, core_halt) =
         boot_metal_engine::<Core<Metal>>(builder.clone(), config, &program, CORE_LIMIT);
-    let (interp, interp_halt) =
-        boot_metal_engine::<Interp<Metal>>(builder, config, &program, INTERP_LIMIT);
+    let (interp, _) = boot_metal_engine::<Interp<Metal>>(builder, config, &program, INTERP_LIMIT);
     assert_eq!(
-        core_halt, interp_halt,
-        "{label}: halt reasons diverged\nguest:\n{src}"
-    );
-    assert_eq!(
-        core.state.regs.snapshot(),
-        interp.state.regs.snapshot(),
-        "{label}: register files diverged\nguest:\n{src}"
+        arch::first_difference(Machine::of(&core), Machine::of(&interp), arch::DIFFERENTIAL),
+        None,
+        "{label}: engines diverged (core, interp)\nguest:\n{src}"
     );
     let code = match core_halt {
         Some(HaltReason::Ebreak { code }) => code,

@@ -29,17 +29,7 @@ fn engines_agree_on_metal_programs() {
             .routine(0, "r0", &r0)
             .routine(1, "r1", &r1);
         let label = format!("case {case} (r0:\n{r0}\nr1:\n{r1})");
-        let pair = both_engines_with(CoreConfig::default(), builder, &guest, &label);
-        assert_eq!(
-            pair.core.state.regs.get(Reg::A0),
-            pair.interp.state.regs.get(Reg::A0)
-        );
-        // Metal-side state agrees too: MRAM data and the MReg file.
-        assert_eq!(pair.core.hooks.mram.data(), pair.interp.hooks.mram.data());
-        for m in 0..8 {
-            assert_eq!(pair.core.hooks.mregs.get(m), pair.interp.hooks.mregs.get(m));
-        }
-        assert_eq!(pair.core.hooks.stats, pair.interp.hooks.stats);
+        both_engines_with(CoreConfig::default(), builder, &guest, &label);
     }
 }
 

@@ -7,6 +7,7 @@
 mod common;
 
 use common::{assemble_flat, CORE_LIMIT, INTERP_LIMIT};
+use metal_core::arch::{self, Machine};
 use metal_core::{Metal, MetalBuilder};
 use metal_fuzz::grammar::{rand_guest, rand_routine};
 use metal_pipeline::state::CoreConfig;
@@ -14,15 +15,15 @@ use metal_pipeline::{Core, Engine, HaltReason, Interp};
 use metal_trace::{Event, MetricsSnapshot, TraceConfig, TraceHandle};
 use metal_util::Rng;
 
-/// Everything a rerun must reproduce exactly.
+/// Everything a rerun must reproduce exactly: the whole architectural
+/// state (registers, CSRs, TLB, RAM, Metal state, counters — as a
+/// digest), the metrics and the emitted trace.
 #[derive(Debug, PartialEq)]
 struct RunRecord {
     halt: Option<HaltReason>,
-    regs: [u32; 32],
+    state: u64,
     metrics: MetricsSnapshot,
     events: Vec<Event>,
-    mram_data: Vec<u8>,
-    mregs: Vec<u32>,
 }
 
 /// Runs from the current machine state to halt under a fresh trace
@@ -38,11 +39,9 @@ fn run_and_record<E: Engine<Hooks = Metal>>(engine: &mut E, limit: u64) -> RunRe
     let halt = engine.run(limit);
     RunRecord {
         halt,
-        regs: engine.state().regs.snapshot(),
+        state: arch::digest(Machine::of(engine), arch::ALL),
         metrics: engine.metrics_snapshot(),
         events: engine.state().trace.events(),
-        mram_data: engine.hooks().mram.data().to_vec(),
-        mregs: (0..32).map(|m| engine.hooks().mregs.get(m)).collect(),
     }
 }
 
