@@ -4,11 +4,12 @@
 //! registers `m0..m31` (compared pairwise with the x-registers: `x0`,
 //! `m0`, `x1`, …), MRAM data, Metal stats, ASID, `instret`, CSRs,
 //! translation mode, TLB slots (vpn, ASID, PTE; an empty slot reads vpn
-//! `0xffffffff`), page-key masks, guest RAM, and `cycles`. Fields added
-//! to the list come after the older ones. Left out, because no
-//! architectural behavior depends on them: caches, TLB LRU stamps, the
-//! decode cache, the trace, other performance counters, and Metal's
-//! transition latencies.
+//! `0xffffffff`), page-key masks, guest RAM, `cycles`, and the Metal
+//! control registers (`mstatus`, `mcause`, `mentry`, `minsn`,
+//! `mbadaddr`, `mscratch`, `soft_ipend`). Fields added to the list come
+//! after the older ones. Left out, because no architectural behavior
+//! depends on them: caches, TLB LRU stamps, the decode cache, the trace,
+//! other performance counters, and Metal's transition latencies.
 //!
 //! A [`StateSet`] names a subset of the list. `mfault` compares
 //! [`digest`]s of a run and its golden run; `mfuzz` and the
@@ -33,9 +34,10 @@ enum Field {
     PageKeys,
     Ram,
     Cycles,
+    Mcrs,
 }
 
-const LIST: [Field; 13] = [
+const LIST: [Field; 14] = [
     Field::Halt,
     Field::XRegs,
     Field::Mregs,
@@ -49,6 +51,7 @@ const LIST: [Field; 13] = [
     Field::PageKeys,
     Field::Ram,
     Field::Cycles,
+    Field::Mcrs,
 ];
 
 /// A subset of the architectural-state list.
@@ -126,8 +129,18 @@ const CSRS: [&str; 7] = [
     "mstatus", "mtvec", "mscratch", "mepc", "mcause", "mtval", "mie",
 ];
 
+const MCRS: [&str; 7] = [
+    "mstatus",
+    "mcause",
+    "mentry",
+    "minsn",
+    "mbadaddr",
+    "mscratch",
+    "soft_ipend",
+];
+
 fn value(m: Machine<'_>, field: Field) -> Value<'_> {
-    let (s, c, ram) = (m.state, &m.state.csr, &m.state.bus.ram);
+    let (s, c, r, ram) = (m.state, &m.state.csr, &m.metal.mregs, &m.state.bus.ram);
     match field {
         Field::Halt => Value::Text("halt", format!("{:?}", s.halted)),
         Field::XRegs => Value::Words(|i| format!("x{i}"), s.regs.snapshot().to_vec()),
@@ -156,6 +169,18 @@ fn value(m: Machine<'_>, field: Field) -> Value<'_> {
         Field::PageKeys => Value::Words(|i| format!("key[{i}]"), s.tlb.key_masks().to_vec()),
         Field::Ram => Value::Bytes("ram", ram.dump(0, ram.size() as u32).expect("RAM")),
         Field::Cycles => Value::Text("cycles", s.perf.cycles.to_string()),
+        Field::Mcrs => Value::Words(
+            |i| format!("mcr {}", MCRS[i]),
+            vec![
+                r.mstatus,
+                r.mcause,
+                r.mentry,
+                r.minsn,
+                r.mbadaddr,
+                r.mscratch,
+                r.soft_ipend,
+            ],
+        ),
     }
 }
 
@@ -165,7 +190,9 @@ fn fnv(h: u64, word: u64) -> u64 {
 }
 
 /// A hash of the fields of `set`, for equality tests only. Byte strings
-/// (RAM included) are hashed in place, eight bytes per step.
+/// are hashed in place, eight bytes per step. RAM is hashed as its
+/// nonzero pages, each after its index, then its size: the hash
+/// depends only on the contents and costs the pages the program wrote.
 #[must_use]
 pub fn digest(m: Machine<'_>, set: StateSet) -> u64 {
     let bytes = |h, b: &[u8]| {
@@ -178,6 +205,13 @@ pub fn digest(m: Machine<'_>, set: StateSet) -> u64 {
     };
     set.fields().fold(0xCBF2_9CE4_8422_2325, |h, field| {
         let h = fnv(h, field as u64);
+        if let Field::Ram = field {
+            let ram = &m.state.bus.ram;
+            let h = ram
+                .pages()
+                .fold(h, |h, (i, page)| bytes(fnv(h, i as u64), page));
+            return fnv(h, ram.size() as u64);
+        }
         match value(m, field) {
             Value::Text(_, text) => bytes(h, text.as_bytes()),
             Value::Words(_, words) => words.into_iter().fold(h, |h, w| fnv(h, w.into())),
@@ -244,6 +278,7 @@ fn first<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mreg::MSTATUS_INTERCEPT_ENABLE;
     use crate::MetalConfig;
     use metal_isa::reg::Reg;
     use metal_mem::Pte;
@@ -295,6 +330,38 @@ mod tests {
             (d.field.as_str(), d.left.as_str(), d.right.as_str()),
             ("x5", "0x00000000", "0x00000007")
         );
+    }
+
+    #[test]
+    fn metal_control_registers_are_in_the_list() {
+        let [a, mut b] = pair();
+        b.1.mregs.mstatus |= MSTATUS_INTERCEPT_ENABLE;
+        let d = first_difference(machine(&a), machine(&b), DIFFERENTIAL).expect("mstatus differs");
+        assert_eq!(
+            (d.field.as_str(), d.left.as_str(), d.right.as_str()),
+            ("mcr mstatus", "0x00000000", "0x00000001")
+        );
+        // Not part of a fault campaign's comparison.
+        for set in [OUTCOME, FULL] {
+            assert_eq!(digest(machine(&a), set), digest(machine(&b), set));
+        }
+    }
+
+    #[test]
+    fn ram_digest_depends_only_on_contents() {
+        let [mut a, mut b] = pair();
+        let (ra, rb) = (&mut a.0.bus.ram, &mut b.0.bus.ram);
+        ra.write_u32(0x3000, 7).unwrap();
+        ra.write_u32(0x8000, 9).unwrap();
+        // Same contents by another history: other order, other widths,
+        // and a page written nonzero and then zeroed.
+        rb.write_u32(0x8000, 9).unwrap();
+        rb.write_u32(0x5000, 1).unwrap();
+        rb.write_u8(0x5000, 0).unwrap();
+        rb.load(0x3000, &7u32.to_le_bytes()).unwrap();
+        assert_eq!(digest(machine(&a), OUTCOME), digest(machine(&b), OUTCOME));
+        b.0.bus.ram.write_u8(0x5001, 1).unwrap();
+        assert_ne!(digest(machine(&a), OUTCOME), digest(machine(&b), OUTCOME));
     }
 
     #[test]

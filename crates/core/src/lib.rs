@@ -50,7 +50,7 @@ pub use ecc::{EccCheck, EccMode};
 pub use intercept::{InterceptRule, InterceptTable};
 pub use loader::MetalBuilder;
 pub use metal::{DispatchStyle, Layer, Metal, MetalConfig, MetalStats, Mode};
-pub use mram::{Mram, MramConfig, MramSnapshot, MRAM_BASE};
+pub use mram::{Mram, MramConfig, MRAM_BASE};
 pub use mreg::{EntryCause, MregFile};
 
 use core::fmt;

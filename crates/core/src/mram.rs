@@ -385,66 +385,6 @@ impl Mram {
     pub fn routines(&self) -> impl Iterator<Item = &MroutineInfo> {
         self.entries.iter().filter_map(Option::as_ref)
     }
-
-    /// Captures the full MRAM contents (code, pre-decoded code, data,
-    /// entry table) for a later [`Mram::restore`].
-    #[must_use]
-    pub fn snapshot(&self) -> MramSnapshot {
-        MramSnapshot {
-            code: self.code.clone(),
-            decoded: self.decoded.clone(),
-            data: self.data.clone(),
-            entries: self.entries.clone(),
-            next_offset: self.next_offset,
-            generation: self.generation,
-            ecc: self.ecc,
-            code_check: self.code_check.clone(),
-            data_check: self.data_check.clone(),
-            golden_code: self.golden_code.clone(),
-            golden_data: self.golden_data.clone(),
-        }
-    }
-
-    /// Rewinds the MRAM to a snapshot without reallocating the code or
-    /// data segments — the per-case reset path of the fuzzer, which
-    /// mainly exists to roll back `mst` writes to mroutine private data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from an MRAM with different
-    /// geometry.
-    pub fn restore(&mut self, snap: &MramSnapshot) {
-        self.code.copy_from_slice(&snap.code);
-        self.decoded.copy_from_slice(&snap.decoded);
-        self.data.copy_from_slice(&snap.data);
-        self.entries.clone_from(&snap.entries);
-        self.next_offset = snap.next_offset;
-        self.generation = snap.generation;
-        self.ecc = snap.ecc;
-        self.code_check.copy_from_slice(&snap.code_check);
-        self.data_check.copy_from_slice(&snap.data_check);
-        self.golden_code.copy_from_slice(&snap.golden_code);
-        self.golden_data.copy_from_slice(&snap.golden_data);
-    }
-}
-
-/// A point-in-time copy of an [`Mram`], taken with [`Mram::snapshot`]
-/// and applied with [`Mram::restore`]. Geometry (the [`MramConfig`]) is
-/// not captured: a snapshot only restores onto an MRAM with the same
-/// configuration it was taken from.
-#[derive(Clone, Debug)]
-pub struct MramSnapshot {
-    code: Vec<u32>,
-    decoded: Vec<DecodedInsn>,
-    data: Vec<u8>,
-    entries: Vec<Option<MroutineInfo>>,
-    next_offset: u32,
-    generation: u64,
-    ecc: EccMode,
-    code_check: Vec<u8>,
-    data_check: Vec<u8>,
-    golden_code: Vec<u32>,
-    golden_data: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -506,25 +446,6 @@ mod tests {
         let last = MramConfig::default().data_bytes - 4;
         mram.data_store(last, 1).unwrap();
         assert!(mram.data_store(last + 4, 1).is_err(), "out of bounds");
-    }
-
-    #[test]
-    fn snapshot_restore_rolls_back_installs_and_data() {
-        let mut mram = Mram::new(MramConfig::default());
-        mram.install(0, "keep", &[0x0000_0013]).unwrap();
-        mram.data_store(0, 0x1111).unwrap();
-        let snap = mram.snapshot();
-        // Diverge: another install, a data write.
-        mram.install(1, "scratch", &[0x02A0_0513]).unwrap();
-        mram.data_store(0, 0x2222).unwrap();
-        mram.restore(&snap);
-        assert!(mram.entry(1).is_none(), "install rolled back");
-        assert_eq!(mram.data_load(0), Ok(0x1111), "data write rolled back");
-        assert_eq!(mram.code_word(MRAM_BASE), Ok(0x0000_0013));
-        assert_eq!(mram.code_free(), MramConfig::default().code_bytes - 4);
-        // The freed slot is reusable after restore.
-        mram.install(1, "again", &[0xAA]).unwrap();
-        assert_eq!(mram.entry_pc(1), Some(MRAM_BASE + 4));
     }
 
     #[test]

@@ -34,7 +34,10 @@
 //! halt reason, RAM and MRAM data) against golden, because a recovered
 //! run legitimately executes extra (recovery) instructions; and
 //! [`arch::FULL`], which adds Metal registers, cycles, `instret` and
-//! the ASID, for `--zero-fault` reruns.
+//! the ASID, for `--zero-fault` reruns. The snapshot, each restore and
+//! each digest cost the RAM pages the victim wrote, not the size of
+//! RAM, so a case costs mostly the victim build and the engine
+//! construction.
 
 use crate::fault::{FaultKind, FaultSpec, FaultTarget, CACHE_DSIDE};
 use crate::workload;

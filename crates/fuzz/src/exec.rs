@@ -3,14 +3,16 @@
 //! A [`CaseRunner`] owns a pipelined core (decode cache on), a second
 //! pipelined core (decode cache off), and the reference interpreter,
 //! each constructed **once**. Between cases the machines are rewound
-//! with [`metal_pipeline::Engine::restore`] — a RAM memcpy plus field
-//! copies, microseconds instead of a rebuild — and only the per-case
-//! Metal extension (mroutines, delegations) is constructed fresh.
+//! with [`metal_pipeline::Engine::restore`] — a copy of the RAM pages
+//! the case wrote plus field copies, microseconds instead of a
+//! rebuild — and only the per-case Metal extension (mroutines,
+//! delegations) is constructed fresh.
 //!
 //! The differential oracle compares the architectural state that
 //! [`metal_core::arch`] defines — halt, registers, CSRs, ASID,
-//! translation mode, TLB and page keys, guest RAM, Metal registers,
-//! MRAM data, Metal stats, `instret` — and is two-sided:
+//! translation mode, TLB and page keys, guest RAM, Metal registers
+//! and control registers, MRAM data, Metal stats, `instret` — and is
+//! two-sided:
 //!
 //! * **cross-engine**: core (decode cache on) vs interpreter must agree
 //!   on [`arch::DIFFERENTIAL`] (everything but `cycles`) and on the

@@ -12,8 +12,8 @@
 //! inputs are minimized to small repros ([`shrink`]).
 //!
 //! Case reset uses the engine snapshot/restore path
-//! ([`metal_pipeline::Engine::snapshot`]) so each case costs a memcpy,
-//! not a machine rebuild.
+//! ([`metal_pipeline::Engine::snapshot`]) so each case costs a copy of
+//! the RAM pages it wrote, not a machine rebuild.
 //!
 //! # Determinism
 //!

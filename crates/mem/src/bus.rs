@@ -1,6 +1,6 @@
 //! The physical address space: RAM plus memory-mapped devices.
 
-use crate::{MemError, PhysMemory};
+use crate::{MemError, PhysMemory, PAGE_SIZE};
 use metal_trace::{EventKind, TraceHandle};
 
 /// Base of the MMIO window. Everything below is RAM-or-fault.
@@ -121,10 +121,12 @@ impl Bus {
     }
 
     /// Captures everything [`Bus::restore`] needs to rewind the bus:
-    /// RAM contents plus the code-residency bitmap and its generation.
-    /// Snapshot/restore serves device-less runs (the fuzzer and the
-    /// fault campaigns reset a machine thousands of times per second);
-    /// device state cannot be captured, so a bus with devices refuses.
+    /// the RAM pages that hold a nonzero byte plus the code-residency
+    /// bitmap and its generation, at the cost of the pages the program
+    /// wrote. Snapshot/restore serves device-less runs (the fuzzer and
+    /// the fault campaigns reset a machine thousands of times per
+    /// second); device state cannot be captured, so a bus with devices
+    /// refuses.
     ///
     /// # Panics
     ///
@@ -138,21 +140,34 @@ impl Bus {
             );
         }
         BusSnapshot {
-            ram: self.ram.clone(),
+            ram_size: self.ram.size(),
+            pages: self.ram.pages().map(|(i, p)| (i, p.into())).collect(),
             code_lines: self.code_lines.clone(),
             code_generation: self.code_generation,
         }
     }
 
     /// Restores RAM and code-mark state from a snapshot without
-    /// reallocating (a pair of memcpys).
+    /// reallocating: zeroes the pages this bus has written, then copies
+    /// in the snapshot's pages. Exact for any snapshot of a RAM of the
+    /// same size, whichever bus it was taken on.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot was taken from a bus with a different RAM
     /// size.
     pub fn restore(&mut self, snap: &BusSnapshot) {
-        self.ram.copy_from(&snap.ram);
+        assert_eq!(
+            self.ram.size(),
+            snap.ram_size,
+            "RAM size mismatch on restore"
+        );
+        self.ram.clear();
+        for (i, page) in &snap.pages {
+            self.ram
+                .load((i * PAGE_SIZE as usize) as u32, page)
+                .expect("snapshot page within RAM");
+        }
         self.code_lines.copy_from_slice(&snap.code_lines);
         self.code_generation = snap.code_generation;
     }
@@ -307,10 +322,12 @@ impl Bus {
 }
 
 /// A point-in-time copy of the bus's RAM and code-mark state (see
-/// [`Bus::snapshot`]).
+/// [`Bus::snapshot`]). RAM is kept sparse: its size plus the pages that
+/// hold a nonzero byte, in index order.
 #[derive(Clone, Debug)]
 pub struct BusSnapshot {
-    ram: PhysMemory,
+    ram_size: usize,
+    pages: Vec<(usize, Box<[u8]>)>,
     code_lines: Vec<u64>,
     code_generation: u64,
 }

@@ -1,23 +1,31 @@
 //! Flat physical memory.
 
-use crate::MemError;
+use crate::{MemError, PAGE_SHIFT, PAGE_SIZE};
 
 /// Byte-addressable physical RAM starting at address 0.
 ///
 /// All accesses are bounds-checked; word and half-word accesses must be
 /// naturally aligned (the pipeline raises a misaligned-access exception
 /// on [`MemError::Misaligned`]).
-#[derive(Clone)]
+///
+/// Every write marks its 4 KiB page as touched, and a page that is not
+/// marked holds only zeros. Snapshot, restore and digest walk the
+/// marked pages ([`PhysMemory::pages`], [`crate::Bus::restore`]), so
+/// they cost what a program wrote, not the size of RAM.
 pub struct PhysMemory {
     data: Vec<u8>,
+    /// One byte per page: 1 if the page may hold a nonzero byte.
+    touched: Vec<u8>,
 }
 
 impl PhysMemory {
-    /// Allocates `size` bytes of zeroed RAM.
+    /// Allocates `size` bytes of zeroed RAM. The host zeroes a page on
+    /// its first write, so construction does not cost the size of RAM.
     #[must_use]
     pub fn new(size: usize) -> PhysMemory {
         PhysMemory {
             data: vec![0; size],
+            touched: vec![0; size.div_ceil(PAGE_SIZE as usize)],
         }
     }
 
@@ -70,6 +78,7 @@ impl PhysMemory {
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
         let i = self.check(addr, 1)?;
         self.data[i] = value;
+        self.touched[i >> PAGE_SHIFT] = 1;
         Ok(())
     }
 
@@ -77,6 +86,7 @@ impl PhysMemory {
     pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<(), MemError> {
         let i = self.check(addr, 2)?;
         self.data[i..i + 2].copy_from_slice(&value.to_le_bytes());
+        self.touched[i >> PAGE_SHIFT] = 1;
         Ok(())
     }
 
@@ -84,6 +94,7 @@ impl PhysMemory {
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let i = self.check(addr, 4)?;
         self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        self.touched[i >> PAGE_SHIFT] = 1;
         Ok(())
     }
 
@@ -92,24 +103,36 @@ impl PhysMemory {
         if !self.contains(addr, bytes.len() as u32) {
             return Err(MemError::OutOfBounds { addr });
         }
-        let i = addr as usize;
-        self.data[i..i + bytes.len()].copy_from_slice(bytes);
+        let (i, end) = (addr as usize, addr as usize + bytes.len());
+        self.data[i..end].copy_from_slice(bytes);
+        if i < end {
+            self.touched[i >> PAGE_SHIFT..=(end - 1) >> PAGE_SHIFT].fill(1);
+        }
         Ok(())
     }
 
-    /// Overwrites the full contents with those of `other` without
-    /// reallocating — the memcpy at the heart of snapshot restore.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two memories differ in size.
-    pub fn copy_from(&mut self, other: &PhysMemory) {
-        assert_eq!(
-            self.data.len(),
-            other.data.len(),
-            "RAM size mismatch on restore"
-        );
-        self.data.copy_from_slice(&other.data);
+    /// The pages that hold a nonzero byte, as `(page index, bytes)` in
+    /// index order. Only touched pages are read; the last page is short
+    /// when the size is not a multiple of [`PAGE_SIZE`].
+    pub fn pages(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        self.data
+            .chunks(PAGE_SIZE as usize)
+            .enumerate()
+            .zip(&self.touched)
+            .filter(|&((_, page), &touched)| touched != 0 && page.iter().any(|&b| b != 0))
+            .map(|(page, _)| page)
+    }
+
+    /// Zeroes every touched page and clears the marks: all of RAM reads
+    /// zero again, at the cost of the pages written since the last clear.
+    pub(crate) fn clear(&mut self) {
+        let pages = self.data.chunks_mut(PAGE_SIZE as usize);
+        for (page, touched) in pages.zip(&mut self.touched) {
+            if *touched != 0 {
+                page.fill(0);
+                *touched = 0;
+            }
+        }
     }
 
     /// Reads a byte slice out of RAM.

@@ -152,9 +152,10 @@ pub trait Engine: Sized {
     }
 
     /// Rewinds the engine to a snapshot: machine state is restored
-    /// in-place (no RAM reallocation), hooks are overwritten with the
-    /// captured copy, and execution is redirected to the captured PC
-    /// (clearing any in-flight work).
+    /// in place, at the cost of the RAM pages written rather than the
+    /// size of RAM (see [`MachineState::restore`]), hooks are
+    /// overwritten with the captured copy, and execution is redirected
+    /// to the captured PC (clearing any in-flight work).
     fn restore(&mut self, snap: &EngineSnapshot<Self::Hooks>)
     where
         Self::Hooks: Clone,

@@ -456,7 +456,9 @@ impl MachineState {
 
     /// Rewinds the machine to a previously captured snapshot without
     /// reallocating RAM or cache arrays — the hot reset path of the
-    /// fuzzer, which restores between every generated case.
+    /// fuzzer and the fault campaigns, which restore between every
+    /// case. RAM costs the pages written since the last restore plus
+    /// the snapshot's nonzero pages (see [`Bus::restore`]).
     ///
     /// The machine keeps its *current* trace handle; subsystem handles
     /// (TLB, bus) are reattached to it so events keep flowing to whatever

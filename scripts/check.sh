@@ -64,12 +64,17 @@ if [[ "${CHECK_FAULT:-0}" == "1" ]]; then
     echo "==> fault-injection smoke (CHECK_FAULT=1)"
     # Fixed-seed SECDED campaign on the live-site workload: every
     # injected single-bit MRAM/MReg fault must be detected and
-    # corrected, with zero silent data corruption, on both engines.
+    # corrected, with zero silent data corruption, on both engines,
+    # and the classification itself must not move.
+    out=$(mktemp -d)
     for engine in pipeline interp; do
         target/release/mfault --seed 7 --cases 100 --jobs 2 --engine "$engine" \
             --workload loop --ecc secded --sites mram-code,mram-data,mreg \
-            --kind transient --max-sdc 0 --min-corrected-pct 95
+            --kind transient --max-sdc 0 --min-corrected-pct 95 \
+            --json "$out/$engine.json"
+        diff "tests/golden/mfault_seed7_loop_$engine.json" "$out/$engine.json"
     done
+    rm -r "$out"
     # The harness itself must not perturb state.
     target/release/mfault --seed 7 --cases 25 --zero-fault --workload fuzz
     # The latch, cache, TLB and guest-register sites must also give
