@@ -180,7 +180,7 @@ fn parse_primary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::tokenize_line;
+    use crate::lexer::tests::tokenize_line;
     use std::collections::HashMap;
 
     struct Env {

@@ -18,14 +18,9 @@ pub enum Token {
     Punct(char),
 }
 
-/// Tokenizes a single source line. Comments (`#`, `;`, `//`) terminate the
-/// line.
-pub fn tokenize_line(line: &str, lineno: usize) -> Result<Vec<Token>, AsmError> {
-    tokenize_line_cols(line, lineno).map(|(toks, _)| toks)
-}
-
-/// [`tokenize_line`] plus the 1-based starting column of each token, so
-/// diagnostics can point into the source line rather than just at it.
+/// Tokenizes a single source line, with the 1-based starting column of
+/// each token so diagnostics can point into the source line rather than
+/// just at it. Comments (`#`, `;`, `//`) terminate the line.
 pub fn tokenize_line_cols(line: &str, lineno: usize) -> Result<(Vec<Token>, Vec<usize>), AsmError> {
     let mut out = Vec::new();
     let mut cols = Vec::new();
@@ -169,8 +164,13 @@ fn lex_escape(chars: &[char], i: usize, lineno: usize) -> Result<(char, usize), 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The tokens of one line, without their columns.
+    pub(crate) fn tokenize_line(line: &str, lineno: usize) -> Result<Vec<Token>, AsmError> {
+        tokenize_line_cols(line, lineno).map(|(toks, _)| toks)
+    }
 
     #[test]
     fn tokenize_instruction() {

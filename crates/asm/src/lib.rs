@@ -26,10 +26,9 @@
 //! ```
 
 pub mod assemble;
-pub mod builder;
-pub mod expr;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod expr;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 
 pub use assemble::{assemble, assemble_at, Assembled, Options, Segment, SourceSpan};
 

@@ -30,7 +30,7 @@ pub struct InterceptTable {
 pub const DEFAULT_SLOTS: usize = 8;
 
 impl InterceptTable {
-    /// An empty table with [`DEFAULT_SLOTS`] slots.
+    /// An empty table with `DEFAULT_SLOTS` (8) slots.
     #[must_use]
     pub fn new() -> InterceptTable {
         InterceptTable::with_slots(DEFAULT_SLOTS)

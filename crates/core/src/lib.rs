@@ -5,14 +5,16 @@
 //!
 //! * [`mram`] — the RAM collocated with instruction fetch that holds up
 //!   to 64 mroutines and their private data.
-//! * [`mreg`] — the Metal register file `m0..m31` and control registers.
-//! * [`metal`] — Metal mode, the `menter`/`mexit` decode-stage fast
+//! * [`MregFile`] — the Metal register file `m0..m31` and control
+//!   registers.
+//! * [`Metal`] — Metal mode, the `menter`/`mexit` decode-stage fast
 //!   path, interception, delegation, and the `march.*` architectural
 //!   features (physical memory, TLB, ASIDs, page keys).
-//! * [`intercept`] — the instruction-interception table.
-//! * [`delegate`] — exception/interrupt delegation maps.
-//! * [`loader`] / [`verify`] — the boot-time mroutine loader and static
-//!   verifier.
+//! * [`InterceptTable`] — the instruction-interception table.
+//! * [`Layer`] — one nested-Metal layer's interception table and
+//!   exception/interrupt delegation map.
+//! * [`loader`] — the boot-time mroutine loader, which verifies each
+//!   mroutine with `metal-lint` before installing it.
 //! * [`arch`] — the one definition of architectural state that the
 //!   campaign tools and differential tests compare.
 //!
@@ -37,14 +39,13 @@
 //! ```
 
 pub mod arch;
-pub mod delegate;
-pub mod ecc;
-pub mod intercept;
+pub(crate) mod delegate;
+pub(crate) mod ecc;
+pub(crate) mod intercept;
 pub mod loader;
-pub mod metal;
+pub(crate) mod metal;
 pub mod mram;
-pub mod mreg;
-pub mod verify;
+pub(crate) mod mreg;
 
 pub use ecc::{EccCheck, EccMode};
 pub use intercept::{InterceptRule, InterceptTable};
@@ -102,8 +103,8 @@ pub enum MetalError {
     Verify {
         /// Routine name.
         routine: String,
-        /// The findings.
-        issues: Vec<verify::Issue>,
+        /// The findings, at least one of them a denial.
+        diagnostics: Vec<metal_lint::Diagnostic>,
     },
     /// The PALcode image does not fit in RAM.
     PalcodeImage {
@@ -130,14 +131,13 @@ impl fmt::Display for MetalError {
             MetalError::Assemble { routine, message } => {
                 write!(f, "mroutine {routine:?} failed to assemble: {message}")
             }
-            MetalError::Verify { routine, issues } => {
-                write!(f, "mroutine {routine:?} failed verification: ")?;
-                for issue in issues {
-                    write!(
-                        f,
-                        "[{:?} at +{:#x}: {}] ",
-                        issue.severity, issue.offset, issue.message
-                    )?;
+            MetalError::Verify {
+                routine,
+                diagnostics,
+            } => {
+                write!(f, "mroutine {routine:?} failed verification")?;
+                for d in diagnostics {
+                    write!(f, "; {}", d.render(routine))?;
                 }
                 Ok(())
             }

@@ -6,19 +6,30 @@
 //! against its final address, statically verify it, install it into
 //! MRAM, program delegations, and construct the core. For PALcode-style
 //! dispatch the same image is placed in main memory instead.
+//!
+//! "Static allocation and non-interruptibility improve performance,
+//! security and reliability by eliminating potential resource exhaustion
+//! and simplifying mroutine verification." (paper §2.1) Verification is
+//! `metal-lint` over the routine's words. By default it runs
+//! [`CheckSet::install`]: privilege (environment instructions, illegal
+//! words, nested `menter`) and structure (window escapes, `jalr`,
+//! `ebreak`, missing `mexit`). [`MetalBuilder::require_lint_clean`]
+//! runs [`CheckSet::all`], the full dataflow battery (bounds, retaddr,
+//! leak, budget, intercept). Any denial refuses the install; warnings
+//! are returned with the build.
 
 use crate::ecc::EccMode;
 use crate::metal::{DispatchStyle, Metal, MetalConfig};
-use crate::verify::{has_errors, lint_routine, verify_routine, Issue, VerifyContext};
 use crate::MetalError;
 use metal_asm::assemble_at;
+use metal_lint::{has_denials, lint_words, CheckSet, Diagnostic, LintConfig};
 use metal_pipeline::state::CoreConfig;
 use metal_pipeline::trap::TrapCause;
 use metal_pipeline::{Core, Engine};
 
 /// The output of [`MetalBuilder::build`]: the extension, the main-memory
 /// image PALcode dispatch needs, and accumulated verifier warnings.
-pub type BuildOutput = (Metal, Vec<(u32, Vec<u8>)>, Vec<(String, Issue)>);
+pub type BuildOutput = (Metal, Vec<(u32, Vec<u8>)>, Vec<(String, Diagnostic)>);
 
 /// A delegation request recorded before build.
 #[derive(Clone, Debug)]
@@ -59,8 +70,6 @@ pub struct MetalBuilder {
     routines: Vec<(u8, String, String)>,
     delegations: Vec<Delegation>,
     lint_clean: bool,
-    /// Warnings accumulated during the build (available afterwards).
-    pub warnings: Vec<(String, Issue)>,
 }
 
 impl MetalBuilder {
@@ -72,7 +81,6 @@ impl MetalBuilder {
             routines: Vec::new(),
             delegations: Vec::new(),
             lint_clean: false,
-            warnings: Vec::new(),
         }
     }
 
@@ -170,9 +178,10 @@ impl MetalBuilder {
 
     /// Assembles, verifies, and installs everything, producing the Metal
     /// extension plus the main-memory image PALcode dispatch needs.
-    pub fn build(mut self) -> Result<BuildOutput, MetalError> {
+    pub fn build(self) -> Result<BuildOutput, MetalError> {
         let mut metal = Metal::new(self.config);
         let mut palcode_image: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut warnings = Vec::new();
         let (window_start, window_end) = match self.config.dispatch {
             DispatchStyle::Mram => (
                 crate::mram::MRAM_BASE,
@@ -186,27 +195,27 @@ impl MetalBuilder {
                 routine: name.clone(),
                 message: e.to_string(),
             })?;
-            let ctx = VerifyContext {
-                base_pc: base,
-                window_start,
-                window_end,
-                nested_allowed: self.config.layers > 1,
-                data_bytes: self.config.mram.data_bytes,
-            };
-            let issues = if self.lint_clean {
-                lint_routine(&words, &ctx)
-            } else {
-                verify_routine(&words, &ctx)
-            };
-            if has_errors(&issues) {
+            let diagnostics = lint_words(
+                &words,
+                &LintConfig {
+                    window: Some((window_start, window_end)),
+                    data_bytes: self.config.mram.data_bytes,
+                    nested_allowed: self.config.layers > 1,
+                    checks: if self.lint_clean {
+                        CheckSet::all()
+                    } else {
+                        CheckSet::install()
+                    },
+                    ..LintConfig::mroutine(base)
+                },
+            );
+            if has_denials(&diagnostics) {
                 return Err(MetalError::Verify {
                     routine: name.clone(),
-                    issues,
+                    diagnostics,
                 });
             }
-            for issue in issues {
-                self.warnings.push((name.clone(), issue));
-            }
+            warnings.extend(diagnostics.into_iter().map(|d| (name.clone(), d)));
             metal.install_routine(*entry, name, &words)?;
             if let DispatchStyle::Palcode { .. } = self.config.dispatch {
                 let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -234,7 +243,7 @@ impl MetalBuilder {
                 }
             }
         }
-        Ok((metal, palcode_image, self.warnings))
+        Ok((metal, palcode_image, warnings))
     }
 
     /// Builds a complete machine of either engine type with the Metal
@@ -307,9 +316,12 @@ mod tests {
             .build()
             .unwrap_err();
         match err {
-            MetalError::Verify { routine, issues } => {
+            MetalError::Verify {
+                routine,
+                diagnostics,
+            } => {
                 assert_eq!(routine, "bad");
-                assert!(!issues.is_empty());
+                assert!(!diagnostics.is_empty());
             }
             other => panic!("unexpected error {other:?}"),
         }
@@ -348,9 +360,14 @@ mod tests {
             .build()
             .unwrap_err();
         match err {
-            MetalError::Verify { routine, issues } => {
+            MetalError::Verify {
+                routine,
+                diagnostics,
+            } => {
                 assert_eq!(routine, "oob");
-                assert!(issues.iter().any(|i| i.message.contains("data segment")));
+                assert!(diagnostics
+                    .iter()
+                    .any(|d| d.message.contains("data segment")));
             }
             other => panic!("unexpected error {other:?}"),
         }
@@ -374,5 +391,102 @@ mod tests {
             .unwrap();
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].1.message.contains("never returns"));
+    }
+
+    #[test]
+    fn verify_error_display_names_routine_pc_and_message() {
+        let err = MetalBuilder::new()
+            .routine(0, "bad", "nop\n ecall\n mexit")
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "mroutine \"bad\" failed verification; bad: error[privilege]: \
+             environment instruction Ecall is not allowed in an mroutine (pc 0xfff00004)"
+        );
+    }
+
+    /// The install-time check set over `words` at `base`, on the default
+    /// MRAM geometry.
+    fn verify(words: &[u32], base: u32, nested_allowed: bool) -> Vec<Diagnostic> {
+        lint_words(
+            words,
+            &LintConfig {
+                nested_allowed,
+                checks: CheckSet::install(),
+                ..LintConfig::mroutine(base)
+            },
+        )
+    }
+
+    fn verify_src(src: &str) -> Vec<Diagnostic> {
+        let base = 0xFFF0_0100;
+        verify(&assemble_at(src, base).unwrap(), base, false)
+    }
+
+    #[test]
+    fn clean_routine_passes() {
+        let diags = verify_src("rmr t0, m0\n addi t0, t0, 1\n wmr m0, t0\n mexit");
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn ecall_rejected() {
+        let diags = verify_src("ecall\n mexit");
+        assert!(has_denials(&diags));
+        assert!(diags[0].message.contains("environment instruction"));
+    }
+
+    #[test]
+    fn escaping_branch_rejected() {
+        // A jal that targets normal memory (outside the MRAM window).
+        let diags = verify_src("jal zero, . - 0x200\n mexit");
+        assert!(has_denials(&diags), "{diags:?}");
+    }
+
+    #[test]
+    fn internal_loop_allowed() {
+        let diags = verify_src("li t0, 4\nloop: addi t0, t0, -1\n bnez t0, loop\n mexit");
+        assert!(!has_denials(&diags), "{diags:?}");
+    }
+
+    #[test]
+    fn missing_mexit_warns() {
+        let diags = verify_src("addi t0, t0, 1");
+        assert!(!has_denials(&diags));
+        assert!(diags.iter().any(|d| d.message.contains("never returns")));
+    }
+
+    #[test]
+    fn nested_menter_gated() {
+        let base = 0xFFF0_0100;
+        let words = assemble_at("menter 5\n mexit", base).unwrap();
+        assert!(has_denials(&verify(&words, base, false)));
+        let diags = verify(&words, base, true);
+        assert!(!has_denials(&diags), "{diags:?}");
+    }
+
+    #[test]
+    fn illegal_word_rejected() {
+        assert!(has_denials(&verify(&[0xFFFF_FFFF], 0xFFF0_0000, false)));
+    }
+
+    #[test]
+    fn full_lint_catches_oob_store() {
+        let base = 0xFFF0_0100;
+        let words = assemble_at("li t0, 4096\n mst a0, 0(t0)\n mexit", base).unwrap();
+        let diags = lint_words(&words, &LintConfig::mroutine(base));
+        assert!(has_denials(&diags), "{diags:?}");
+        // The install set deliberately lets it through (runtime faults
+        // instead): legacy behavior.
+        assert!(!has_denials(&verify(&words, base, false)));
+    }
+
+    #[test]
+    fn lint_geometry_matches_core() {
+        assert_eq!(metal_lint::MRAM_BASE, crate::mram::MRAM_BASE);
+        let mram = crate::mram::MramConfig::default();
+        assert_eq!(metal_lint::MRAM_CODE_BYTES, mram.code_bytes);
+        assert_eq!(metal_lint::MRAM_DATA_BYTES, mram.data_bytes);
     }
 }

@@ -230,17 +230,6 @@ impl Metal {
         self.active_layer
     }
 
-    /// Sets the active layer (host-side; guest code uses `mlayer`).
-    pub fn set_active_layer(&mut self, layer: usize) {
-        self.active_layer = layer.min(self.layers.len() - 1);
-    }
-
-    /// Convenience: the lowest layer's delegation map (the common case
-    /// for single-layer systems).
-    pub fn delegation_mut(&mut self) -> &mut DelegationMap {
-        &mut self.layers[0].delegation
-    }
-
     /// PC of an entry's first instruction under the configured dispatch
     /// style.
     #[must_use]

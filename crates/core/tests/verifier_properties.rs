@@ -1,23 +1,25 @@
-//! Property tests for the mroutine static verifier: it must accept
-//! exactly the programs its rules allow, on arbitrary instruction mixes.
+//! Property tests for the loader's install-time verification (the
+//! `metal-lint` install check set): it must accept exactly the programs
+//! its rules allow, on arbitrary instruction mixes.
 
 use metal_core::mram::MRAM_BASE;
-use metal_core::verify::{has_errors, verify_routine, Severity, VerifyContext};
 use metal_isa::insn::{AluOp, Cond, Insn};
 use metal_isa::reg::Reg;
 use metal_isa::{decode, encode};
+use metal_lint::{has_denials, lint_words, CheckSet, Diagnostic, Level, LintConfig};
 use metal_util::Rng;
 
-const WINDOW: u32 = 0x4000;
-
-fn ctx(nested: bool) -> VerifyContext {
-    VerifyContext {
-        base_pc: MRAM_BASE,
-        window_start: MRAM_BASE,
-        window_end: MRAM_BASE + WINDOW,
-        nested_allowed: nested,
-        data_bytes: 4096,
-    }
+/// The install check set on the default MRAM geometry (a 16 KiB code
+/// window and a 4 KiB data segment), for a routine at `MRAM_BASE`.
+fn verify_routine(words: &[u32], nested_allowed: bool) -> Vec<Diagnostic> {
+    lint_words(
+        words,
+        &LintConfig {
+            nested_allowed,
+            checks: CheckSet::install(),
+            ..LintConfig::mroutine(MRAM_BASE)
+        },
+    )
 }
 
 fn rand_reg(rng: &mut Rng) -> Reg {
@@ -64,8 +66,8 @@ fn benign_routines_accepted() {
     for _ in 0..256 {
         let mut words = rand_benign(&mut rng, 12);
         words.push(encode(&Insn::Mexit));
-        let issues = verify_routine(&words, &ctx(false));
-        assert!(!has_errors(&issues), "{issues:?}");
+        let diags = verify_routine(&words, false);
+        assert!(!has_denials(&diags), "{diags:?}");
     }
 }
 
@@ -79,12 +81,12 @@ fn environment_instructions_rejected() {
         let bad = *rng.pick(&[Insn::Ecall, Insn::Mret, Insn::Wfi]);
         words.insert(pos, encode(&bad));
         words.push(encode(&Insn::Mexit));
-        let issues = verify_routine(&words, &ctx(false));
-        assert!(has_errors(&issues));
+        let diags = verify_routine(&words, false);
+        assert!(has_denials(&diags));
         // The error points at the exact offending offset.
-        assert!(issues
+        assert!(diags
             .iter()
-            .any(|i| i.severity == Severity::Error && i.offset == (pos as u32) * 4));
+            .any(|d| d.level == Level::Deny && d.pc == MRAM_BASE + (pos as u32) * 4));
     }
 }
 
@@ -113,8 +115,8 @@ fn branch_window_enforced() {
             offset,
         });
         words.push(encode(&Insn::Mexit));
-        let issues = verify_routine(&words, &ctx(false));
-        assert_eq!(has_errors(&issues), escape, "{issues:?}");
+        let diags = verify_routine(&words, false);
+        assert_eq!(has_denials(&diags), escape, "{diags:?}");
     }
 }
 
@@ -127,10 +129,10 @@ fn total_on_garbage() {
         let words: Vec<u32> = (0..rng.range_usize(0, 32))
             .map(|_| rng.next_u32())
             .collect();
-        let issues = verify_routine(&words, &ctx(false));
+        let diags = verify_routine(&words, false);
         for w in &words {
             if decode(*w).is_err() {
-                assert!(has_errors(&issues));
+                assert!(has_denials(&diags));
                 break;
             }
         }
@@ -148,7 +150,7 @@ fn nested_gate() {
             }),
             encode(&Insn::Mexit),
         ];
-        assert!(has_errors(&verify_routine(&words, &ctx(false))));
-        assert!(!has_errors(&verify_routine(&words, &ctx(true))));
+        assert!(has_denials(&verify_routine(&words, false)));
+        assert!(!has_denials(&verify_routine(&words, true)));
     }
 }

@@ -59,7 +59,7 @@ violation:
 
 /// Mints a capability.
 #[must_use]
-pub fn create_src() -> String {
+fn create_src() -> String {
     format!(
         r"
     li t0, {count}
@@ -119,7 +119,7 @@ fn check_body(perm_bit: u32) -> String {
 
 /// Loads through a capability.
 #[must_use]
-pub fn load_src() -> String {
+fn load_src() -> String {
     format!(
         "{check}\n    mpld a0, t2\n    mexit\n{tail}",
         check = check_body(1),
@@ -129,7 +129,7 @@ pub fn load_src() -> String {
 
 /// Stores through a capability.
 #[must_use]
-pub fn store_src() -> String {
+fn store_src() -> String {
     format!(
         "{check}\n    mpst t2, a2\n    li a0, 0\n    mexit\n{tail}",
         check = check_body(2),
@@ -139,7 +139,7 @@ pub fn store_src() -> String {
 
 /// Revokes a capability.
 #[must_use]
-pub fn revoke_src() -> String {
+fn revoke_src() -> String {
     format!(
         r"
     li t0, {max}
@@ -159,7 +159,7 @@ pub fn revoke_src() -> String {
 
 /// Registers the violation handler.
 #[must_use]
-pub fn set_handler_src() -> String {
+fn set_handler_src() -> String {
     format!("li t0, {HANDLER_SLOT}\n mst a0, 0(t0)\n mexit")
 }
 

@@ -77,7 +77,7 @@ meas_done:
 
 /// Creates the enclave over one page.
 #[must_use]
-pub fn create_src() -> String {
+fn create_src() -> String {
     format!(
         r"
     # create(a0 = va, a1 = len, a2 = pa)
@@ -115,7 +115,7 @@ pub fn create_src() -> String {
 
 /// Enters the enclave.
 #[must_use]
-pub fn enter_src() -> String {
+fn enter_src() -> String {
     format!(
         r"
     # enter(a0 = argument): unlock, record caller, jump to the region.
@@ -138,7 +138,7 @@ pub fn enter_src() -> String {
 
 /// Exits the enclave.
 #[must_use]
-pub fn exit_src() -> String {
+fn exit_src() -> String {
     format!(
         r"
     # exit(a0 = return value): re-lock and return to the caller.
@@ -156,7 +156,7 @@ pub fn exit_src() -> String {
 
 /// Recomputes the measurement (attestation).
 #[must_use]
-pub fn measure_src() -> String {
+fn measure_src() -> String {
     format!("{}\n    mv a0, t2\n    mexit", measure_body())
 }
 

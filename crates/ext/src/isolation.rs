@@ -43,7 +43,7 @@ pub const DATA_BASE: u32 = 192;
 
 /// Configures the vault mapping and locks the key.
 #[must_use]
-pub fn vault_init_src() -> String {
+fn vault_init_src() -> String {
     format!(
         r"
     # vault_init(a0 = va, a1 = pa): map the vault page with the vault
@@ -69,7 +69,7 @@ pub fn vault_init_src() -> String {
 
 /// Stores `a0` into the vault.
 #[must_use]
-pub fn vault_store_src() -> String {
+fn vault_store_src() -> String {
     format!(
         r"
     li t0, {key}
@@ -90,7 +90,7 @@ pub fn vault_store_src() -> String {
 
 /// Computes a keyed digest of `a0` without revealing the secret.
 #[must_use]
-pub fn vault_use_src() -> String {
+fn vault_use_src() -> String {
     format!(
         r"
     li t0, {key}

@@ -88,12 +88,6 @@ pub fn builder() -> MetalBuilder {
     privilege::install(MetalBuilder::new())
 }
 
-/// A user-side syscall stub: `syscall(N)` with `a1` already loaded.
-#[must_use]
-pub fn syscall_stub(number: u32) -> String {
-    format!("li a0, {number}\n menter {}\n", privilege::entries::KENTER)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

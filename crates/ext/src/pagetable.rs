@@ -55,7 +55,7 @@ pub mod entries {
 /// The radix-walk refill mroutine. Scratch GPRs are preserved in Metal
 /// registers `m3`/`m4` so the faulting application resumes unperturbed.
 #[must_use]
-pub fn refill_src() -> &'static str {
+fn refill_src() -> &'static str {
     r"
     # Page-fault refill: walk the x86-style radix tree.
     wmr m3, t0
@@ -103,19 +103,19 @@ deliver:
 
 /// `a0` = physical root: records it and flushes stale translations.
 #[must_use]
-pub fn set_root_src() -> &'static str {
+fn set_root_src() -> &'static str {
     "mst a0, 64(zero)\n mtlbiall\n mexit"
 }
 
 /// `a0` = OS fault-handler PC.
 #[must_use]
-pub fn set_os_handler_src() -> &'static str {
+fn set_os_handler_src() -> &'static str {
     "mst a0, 68(zero)\n mexit"
 }
 
 /// Retrieves the refill walker's saved `t0`/`t1` into `a0`/`a1`.
 #[must_use]
-pub fn get_saved_src() -> &'static str {
+fn get_saved_src() -> &'static str {
     "rmr a0, m3\n rmr a1, m4\n mexit"
 }
 

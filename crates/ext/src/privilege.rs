@@ -96,7 +96,7 @@ pub fn kexit_src() -> String {
 
 /// Registers the violation handler (`a0` = handler PC). Ring 0 only.
 #[must_use]
-pub fn set_violation_src() -> &'static str {
+fn set_violation_src() -> &'static str {
     r"
     rmr t0, m0
     bnez t0, viol
@@ -111,7 +111,7 @@ viol:
 
 /// Reads the current ring into `a0`.
 #[must_use]
-pub fn ring_get_src() -> &'static str {
+fn ring_get_src() -> &'static str {
     "rmr a0, m0\n mexit"
 }
 
@@ -119,7 +119,7 @@ pub fn ring_get_src() -> &'static str {
 /// registered gate receives control; the caller's ring and return
 /// address are stashed in `m2`/`m1` for [`entries::RING_RETURN`].
 #[must_use]
-pub fn ring_call_src() -> &'static str {
+fn ring_call_src() -> &'static str {
     r"
     rmr t0, m0
     bge a0, t0, viol       # target must be strictly more privileged
@@ -141,7 +141,7 @@ viol:
 
 /// Returns outward from a ring call to the stashed caller.
 #[must_use]
-pub fn ring_return_src() -> &'static str {
+fn ring_return_src() -> &'static str {
     r"
     rmr t0, m0
     rmr t1, m2
@@ -159,7 +159,7 @@ viol:
 
 /// Registers a ring's gate PC: `a0` = ring, `a1` = PC. Ring 0 only.
 #[must_use]
-pub fn set_gate_src() -> &'static str {
+fn set_gate_src() -> &'static str {
     r"
     rmr t0, m0
     bnez t0, viol

@@ -86,7 +86,7 @@ fn emit_restore(out: &mut String) {
 
 /// The context-switch mroutine source.
 #[must_use]
-pub fn switch_src() -> String {
+fn switch_src() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -142,7 +142,7 @@ pub fn switch_src() -> String {
 /// The `sched_init` mroutine: `a0` = quantum. Records it, resets the
 /// current process, and arms the timer.
 #[must_use]
-pub fn init_src() -> String {
+fn init_src() -> String {
     format!(
         r"
     mst a0, {QUANTUM}(zero)
@@ -163,7 +163,7 @@ pub fn init_src() -> String {
 
 /// The `sched_start` mroutine: enter process 0 from boot.
 #[must_use]
-pub fn start_src() -> String {
+fn start_src() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "    li t4, 0                  # pid 0");
     let _ = writeln!(out, "    li t6, {PCB_BASE}");

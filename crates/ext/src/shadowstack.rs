@@ -47,7 +47,7 @@ const STACK_BASE: u32 = DATA_BASE + 8;
 
 /// Arms interception of `jal` (opcode 0x6F) and `jalr` (0x67).
 #[must_use]
-pub fn enable_src() -> String {
+fn enable_src() -> String {
     format!(
         r"
     li t0, {viol}
@@ -73,7 +73,7 @@ pub fn enable_src() -> String {
 
 /// Disarms the interception rules.
 #[must_use]
-pub fn disable_src() -> &'static str {
+fn disable_src() -> &'static str {
     r"
     li t0, 0x6F
     mintercept t0, zero
@@ -85,7 +85,7 @@ pub fn disable_src() -> &'static str {
 
 /// The intercepted-`jal` handler: emulate, pushing calls.
 #[must_use]
-pub fn call_src() -> String {
+fn call_src() -> String {
     format!(
         r"
     wmr m6, t0
@@ -157,7 +157,7 @@ violation:
 /// The intercepted-`jalr` handler: pop-and-verify returns, push
 /// indirect calls.
 #[must_use]
-pub fn ret_src() -> String {
+fn ret_src() -> String {
     format!(
         r"
     wmr m6, t0

@@ -101,7 +101,7 @@ const CTX_WSET: u32 = CTX_RSET + READ_SET_MAX * 8;
 
 /// `tstart`: `a0` = context id.
 #[must_use]
-pub fn tstart_src() -> String {
+fn tstart_src() -> String {
     format!(
         r"
     # tstart(ctx): snapshot the clock, clear the sets, arm interception.
@@ -137,7 +137,7 @@ pub fn tstart_src() -> String {
 
 /// `tread`: the intercepted-load handler.
 #[must_use]
-pub fn tread_src() -> String {
+fn tread_src() -> String {
     format!(
         r"
     # tread: emulate an intercepted load transactionally. All scratch
@@ -253,7 +253,7 @@ wr_done:
 /// `twrite`: the intercepted-store handler (lazy versioning: buffer the
 /// store in the write set).
 #[must_use]
-pub fn twrite_src() -> String {
+fn twrite_src() -> String {
     format!(
         r"
     # twrite: buffer an intercepted store (fully transparent).
@@ -350,7 +350,7 @@ finish:
 
 /// `tcommit`: validate, write back, publish. `a0` = 1 success / 0 abort.
 #[must_use]
-pub fn tcommit_src() -> String {
+fn tcommit_src() -> String {
     format!(
         r"
     # tcommit.
@@ -422,7 +422,7 @@ fail:
 
 /// `tabort`: discard the transaction. `a0` = 0.
 #[must_use]
-pub fn tabort_src() -> &'static str {
+fn tabort_src() -> &'static str {
     r"
     li t0, 0x03
     mintercept t0, zero
@@ -437,7 +437,7 @@ pub fn tabort_src() -> &'static str {
 
 /// `tsuspend`: disarm interception (scheduler switching away).
 #[must_use]
-pub fn tsuspend_src() -> &'static str {
+fn tsuspend_src() -> &'static str {
     r"
     li t0, 0x03
     mintercept t0, zero
@@ -449,7 +449,7 @@ pub fn tsuspend_src() -> &'static str {
 
 /// `tresume`: `a0` = context id; re-arm interception for it.
 #[must_use]
-pub fn tresume_src() -> String {
+fn tresume_src() -> String {
     format!(
         r"
     slli t0, a0, 9
@@ -473,7 +473,7 @@ pub fn tresume_src() -> String {
 
 /// `set_locktab`: `a0` = lock-table physical base.
 #[must_use]
-pub fn set_locktab_src() -> &'static str {
+fn set_locktab_src() -> &'static str {
     "mst a0, 1028(zero)\n mexit"
 }
 

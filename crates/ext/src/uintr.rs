@@ -44,7 +44,7 @@ pub const DATA_BASE: u32 = 128;
 
 /// The dispatcher: runs on a delegated interrupt.
 #[must_use]
-pub fn dispatch_src() -> String {
+fn dispatch_src() -> String {
     format!(
         r"
     # User-interrupt dispatch.
@@ -95,14 +95,14 @@ unregistered:
 
 /// Registers the user handler (`a0` = PC).
 #[must_use]
-pub fn register_src() -> String {
+fn register_src() -> String {
     format!("li t0, {base}\n mst a0, 0(t0)\n mexit", base = DATA_BASE)
 }
 
 /// Returns from the user handler: unmask the line, restore the
 /// dispatcher-saved scratch registers, resume the interrupted code.
 #[must_use]
-pub fn uret_src() -> String {
+fn uret_src() -> String {
     format!(
         r"
     li t0, {base}
@@ -121,7 +121,7 @@ pub fn uret_src() -> String {
 
 /// Reads the delivery counter into `a0`.
 #[must_use]
-pub fn count_src() -> String {
+fn count_src() -> String {
     format!("li t0, {base}\n mld a0, 12(t0)\n mexit", base = DATA_BASE)
 }
 

@@ -44,7 +44,7 @@ const MTVEC: u32 = 0x305;
 
 /// Arms the interception rule.
 #[must_use]
-pub fn arm_src() -> String {
+fn arm_src() -> String {
     format!(
         r"
     li t0, {fault}
@@ -70,7 +70,7 @@ pub fn arm_src() -> String {
 
 /// The trap-and-emulate handler.
 #[must_use]
-pub fn csr_emul_src() -> String {
+fn csr_emul_src() -> String {
     format!(
         r"
     # VMM CSR emulation. Transparent: scratch saved in Metal registers.
@@ -156,7 +156,7 @@ finish:
 
 /// Reads the shadow `mtvec` into `a0`.
 #[must_use]
-pub fn shadow_get_src() -> String {
+fn shadow_get_src() -> String {
     format!("li t0, {SHADOW_MTVEC}\n mld a0, 0(t0)\n mexit")
 }
 

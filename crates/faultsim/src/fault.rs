@@ -29,7 +29,7 @@ pub enum FaultKind {
 /// One concrete fault: a site, a structure index, a bit, and a kind.
 ///
 /// The index is site-specific: an MRAM word index, a Metal/guest
-/// register number, a TLB slot, a cache line (with [`CACHE_DSIDE`]
+/// register number, a TLB slot, a cache line (with `CACHE_DSIDE`, bit 31,
 /// marking the D-cache), or a pipeline latch stage.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultSpec {

@@ -15,7 +15,7 @@
 //! report has sorted keys — so `mfault --seed S --cases N` is
 //! bit-reproducible across runs *and* across `--jobs` values.
 //!
-//! * [`fault`] — fault specs (transient / stuck-at) and their
+//! * [`FaultSpec`] — fault specs (transient / stuck-at) and their
 //!   application to MRAM words, register files, TLB entries, cache
 //!   tags, and pipeline latches.
 //! * [`workload`] — victim programs: a live-site loop victim and
@@ -25,7 +25,7 @@
 //!   masked / corrected / uncorrectable / SDC / hang classification.
 
 pub mod campaign;
-pub mod fault;
+pub(crate) mod fault;
 pub mod workload;
 
 pub use campaign::{

@@ -21,7 +21,7 @@
 //! machine-check cause to it, unless recovery is disabled.
 
 use crate::campaign::{CampaignConfig, WorkloadKind};
-use metal_core::{Metal, MetalBuilder};
+use metal_core::{Metal, MetalBuilder, MRAM_BASE};
 use metal_pipeline::trap::TrapCause;
 use metal_trace::FaultSite;
 use metal_util::Rng;
@@ -83,12 +83,6 @@ pub fn build(cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
     }
 }
 
-fn routine_words(src: &str) -> u32 {
-    metal_asm::assemble_at(src, metal_core::mram::MRAM_BASE)
-        .map(|w| w.len() as u32)
-        .unwrap_or(0)
-}
-
 fn finish(
     builder: MetalBuilder,
     cfg: &CampaignConfig,
@@ -111,11 +105,15 @@ fn finish(
     }
     let (metal, palcode, _warnings) = builder.build().map_err(|e| format!("metal build: {e}"))?;
     debug_assert!(palcode.is_empty(), "campaigns use MRAM dispatch");
-    let installed = (metal.config().mram.code_bytes - metal.mram.code_free()) / 4;
+    // The builder installs routines in the order they were added, so
+    // the recovery routine, added last, ends the live code.
     let live_end = if cfg.recover {
-        installed.saturating_sub(routine_words(RECOVERY_SRC))
+        let recovery_pc = metal
+            .entry_pc(RECOVERY_ENTRY)
+            .expect("recovery routine installed");
+        (recovery_pc - MRAM_BASE) / 4
     } else {
-        installed
+        (metal.config().mram.code_bytes - metal.mram.code_free()) / 4
     };
     let words = metal_asm::assemble_at(guest, 0).map_err(|e| format!("guest assembly: {e}"))?;
     Ok(Built {

@@ -75,7 +75,7 @@ pub struct FuzzHooks {
     pub bug: BugKind,
     /// Bitmask of [`DispatchTag`]s seen at retirement.
     pub tags: u32,
-    /// First [`RETIRE_CAP`] retired PCs.
+    /// First `RETIRE_CAP` retired PCs.
     pub retired: Vec<u32>,
     /// Total retirements (beyond the recorded prefix).
     pub retired_total: u64,
@@ -181,7 +181,7 @@ pub struct EngineRun {
     pub mram_data: Vec<u8>,
     /// Retired instructions.
     pub instret: u64,
-    /// Retirement order (first [`RETIRE_CAP`] PCs) and total count.
+    /// Retirement order (first `RETIRE_CAP` PCs) and total count.
     pub retired: Vec<u32>,
     /// Total retirements.
     pub retired_total: u64,

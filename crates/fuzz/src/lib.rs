@@ -7,7 +7,7 @@
 //! architectural state [`metal_core::arch`] defines (guest RAM, CSRs
 //! and the TLB included), the retirement order, and — between the two
 //! cores — cycle counts. Novelty is judged by a compact coverage bitmap fed from
-//! `metal-trace` events ([`coverage`]); interesting inputs are kept as
+//! `metal-trace` events ([`CoverageMap`]); interesting inputs are kept as
 //! human-readable, replayable artifacts ([`artifact`]); diverging
 //! inputs are minimized to small repros ([`shrink`]).
 //!
@@ -31,7 +31,7 @@
 //!   case seed).
 
 pub mod artifact;
-pub mod coverage;
+pub(crate) mod coverage;
 pub mod exec;
 pub mod grammar;
 pub mod lint;

@@ -22,10 +22,10 @@
 //! ([`processor::metal_processor`] over custom [`MetalHwConfig`]) sweeps
 //! MRAM size, entry-table slots, and intercept slots for experiment E8.
 
-pub mod blocks;
-pub mod library;
+pub(crate) mod blocks;
+pub(crate) mod library;
 pub mod processor;
-pub mod report;
+pub(crate) mod report;
 
 pub use blocks::{Component, Cost};
 pub use processor::{baseline_processor, metal_processor, MetalHwConfig, ProcessorConfig};

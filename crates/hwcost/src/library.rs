@@ -99,12 +99,6 @@ pub fn comparator(width: u64) -> Cost {
     comb(width as f64 * CELLS_PER_CMP_BIT)
 }
 
-/// An n-bit binary decoder (2^n outputs).
-#[must_use]
-pub fn decoder(in_bits: u64) -> Cost {
-    comb((1u64 << in_bits) as f64 * 1.2)
-}
-
 /// Unstructured random logic measured in gate-equivalents.
 #[must_use]
 pub fn random_logic(gates: u64) -> Cost {
@@ -114,6 +108,11 @@ pub fn random_logic(gates: u64) -> Cost {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An n-bit binary decoder (2^n outputs).
+    fn decoder(in_bits: u64) -> Cost {
+        comb((1u64 << in_bits) as f64 * 1.2)
+    }
 
     #[test]
     fn flops_scale_linearly() {

@@ -603,13 +603,6 @@ impl Insn {
         }
     }
 
-    /// True if this is a memory access through the MMU (a candidate for
-    /// load/store interception and page faults).
-    #[must_use]
-    pub fn is_mem_access(&self) -> bool {
-        matches!(self, Insn::Load { .. } | Insn::Store { .. })
-    }
-
     /// True if this instruction can redirect control flow.
     #[must_use]
     pub fn is_control_flow(&self) -> bool {

@@ -21,7 +21,7 @@
 pub mod csr;
 pub mod decode;
 pub mod decoded;
-pub mod disasm;
+pub(crate) mod disasm;
 pub mod encode;
 pub mod insn;
 pub mod metal;

@@ -1,13 +1,12 @@
 //! The seven lint checks, run over one unit's CFG and fixpoint states.
 //!
-//! Two layers coexist here. The *linear* pass reproduces the loader's
-//! historical per-instruction verification (privilege and structural
-//! findings with byte-identical messages, so `metal_core::verify` can
-//! delegate without behavior change). The *dataflow* passes add what a
-//! linear scan cannot see: statically-resolved `mld`/`mst` bounds,
-//! `m31` clobbers that actually reach an `mexit`, secret values that
-//! escape Metal mode, loop bounds for the instruction budget, and
-//! constant-folded `mintercept` arms.
+//! Two layers coexist here. The *linear* pass is the loader's
+//! per-instruction install-time verification (privilege and structural
+//! findings, the messages the loader has always reported). The
+//! *dataflow* passes add what a linear scan cannot see:
+//! statically-resolved `mld`/`mst` bounds, `m31` clobbers that actually
+//! reach an `mexit`, secret values that escape Metal mode, loop bounds
+//! for the instruction budget, and constant-folded `mintercept` arms.
 
 use crate::cfg::Cfg;
 use crate::dataflow::{solve, Lattice, Solution};
@@ -58,10 +57,10 @@ impl Analyzer<'_> {
         });
     }
 
-    /// The loader's historical linear verification pass. Message texts
-    /// and ordering match `metal_core::verify::verify_routine` exactly;
-    /// each finding is additionally tagged with the producing check so
-    /// callers can filter.
+    /// The linear pass behind the loader's install-time verification
+    /// ([`CheckSet::install`]): privilege and structure findings in
+    /// program order, each tagged with the producing check so callers
+    /// can filter.
     fn linear_mroutine_pass(&mut self) {
         let checks = self.config.checks;
         let (window_start, window_end) = self.config.code_window();

@@ -4,10 +4,9 @@
 //! runs non-interruptibly with full machine access, so a privilege,
 //! bounds, or leak bug installed into MRAM is a machine-wide bug. This
 //! crate analyzes assembled programs and mroutines *before* they run:
-//! it builds a CFG over pre-decoded instructions ([`cfg`]), solves
-//! reaching-defs / interval / taint lattices to a fixpoint
-//! ([`dataflow`], [`domains`]), and runs seven checks over the result
-//! ([`checks`]):
+//! it builds a CFG over pre-decoded instructions ([`Cfg`]), solves
+//! reaching-defs / interval / taint lattices to a fixpoint, and runs
+//! seven checks over the result ([`checks`]):
 //!
 //! 1. **privilege** — Metal-only instructions reachable outside Metal
 //!    mode; environment instructions inside mroutines; illegal words;
@@ -29,10 +28,10 @@
 //! diagnostics, and `metal-fuzz` validates the analyzer's soundness
 //! differentially against both execution engines.
 
-pub mod cfg;
+pub(crate) mod cfg;
 pub mod checks;
-pub mod dataflow;
-pub mod domains;
+pub(crate) mod dataflow;
+pub(crate) mod domains;
 
 pub use cfg::Cfg;
 
@@ -167,9 +166,8 @@ impl CheckSet {
         }
     }
 
-    /// The loader's historical install-time set: privilege and
-    /// structural checks only, preserving `metal_core::verify` behavior
-    /// exactly (dataflow warnings would reject long-standing extension
+    /// The loader's install-time set: privilege and structural checks
+    /// only (dataflow warnings would reject long-standing extension
     /// idioms like computed `m31` resume addresses).
     #[must_use]
     pub const fn install() -> CheckSet {

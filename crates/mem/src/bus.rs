@@ -311,14 +311,6 @@ impl Bus {
         }
         pending
     }
-
-    /// Borrows an attached device by name for host-side inspection.
-    pub fn device_mut(&mut self, name: &str) -> Option<&mut (dyn Device + 'static)> {
-        self.windows
-            .iter_mut()
-            .find(|w| w.device.name() == name)
-            .map(move |w| &mut *w.device)
-    }
 }
 
 /// A point-in-time copy of the bus's RAM and code-mark state (see

@@ -1,8 +1,8 @@
 //! A write-only MMIO console.
 
 use crate::bus::Device;
-use crate::sync::Mutex;
 use crate::MemError;
+use metal_util::Mutex;
 use std::sync::Arc;
 
 /// Register offsets.

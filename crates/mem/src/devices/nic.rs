@@ -10,8 +10,8 @@
 
 use crate::bus::Device;
 use crate::devices::map::NIC_IRQ;
-use crate::sync::Mutex;
 use crate::MemError;
+use metal_util::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -77,12 +77,6 @@ impl NicHandle {
     #[must_use]
     pub fn take_completions(&self) -> Vec<(u64, u64)> {
         std::mem::take(&mut self.shared.lock().completions)
-    }
-
-    /// Number of packets still waiting to arrive.
-    #[must_use]
-    pub fn pending_schedule(&self) -> usize {
-        self.shared.lock().schedule.len()
     }
 }
 

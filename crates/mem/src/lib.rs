@@ -15,10 +15,9 @@
 //!   comparison meaningful).
 
 pub mod bus;
-pub mod cache;
+pub(crate) mod cache;
 pub mod devices;
-pub mod phys;
-pub mod sync;
+pub(crate) mod phys;
 pub mod tlb;
 pub mod walker;
 

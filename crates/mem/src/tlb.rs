@@ -7,7 +7,7 @@
 //! page-table structure the OS chose and installs the mapping with
 //! `mtlbw` — that is the "custom page tables" application (§3.2).
 
-use crate::{page_number, page_offset, PAGE_SHIFT};
+use crate::{page_number, page_offset};
 use metal_trace::{EventKind, TlbOutcome, TraceHandle};
 
 /// Access type used for permission checks.
@@ -56,12 +56,6 @@ impl Pte {
     #[must_use]
     pub fn new(ppn_addr: u32, flags: u32) -> Pte {
         Pte((ppn_addr & !0xFFF) | (flags & 0xFFF))
-    }
-
-    /// The physical page number.
-    #[must_use]
-    pub fn ppn(self) -> u32 {
-        self.0 >> PAGE_SHIFT
     }
 
     /// Base physical address of the page.

@@ -21,10 +21,10 @@
 //! instructions raise illegal-instruction traps and all traps vector
 //! through `mtvec`, exactly the conventional design Metal replaces.
 
-pub mod engine;
-pub mod func;
+pub(crate) mod engine;
+pub(crate) mod func;
 pub mod hooks;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub mod state;
 pub mod trap;
 

@@ -7,7 +7,7 @@
 //!    typed [`Event`]s into. Events land in a fixed-capacity ring
 //!    buffer; a disabled handle is a `None` and costs one branch per
 //!    emission site, so tracing never perturbs timing when off.
-//! 2. **Chrome export** — [`chrome::export`] turns the ring into a
+//! 2. **Chrome export** — [`TraceHandle::export_chrome`] turns the ring into a
 //!    `chrome://tracing` / Perfetto-loadable JSON document, with
 //!    mroutine transitions as a flame graph.
 //! 3. **Metrics** — [`MetricsSnapshot`] unifies the pipeline's perf
@@ -18,10 +18,10 @@
 //! memory system can emit them without a dependency cycle through the
 //! pipeline.
 
-pub mod chrome;
-pub mod event;
-pub mod metrics;
-pub mod ring;
+pub(crate) mod chrome;
+pub(crate) mod event;
+pub(crate) mod metrics;
+pub(crate) mod ring;
 
 pub use event::{
     CacheKind, Event, EventKind, FaultSite, RecoveryAction, StallKind, TlbOutcome, TransitionCause,
@@ -29,8 +29,9 @@ pub use event::{
 pub use metrics::{Histogram, Metric, MetricsSnapshot, TransitionSlot, TransitionTable};
 pub use ring::Ring;
 
+use metal_util::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How much to record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -68,11 +69,7 @@ fn record(shared: &Shared, cycle: u64, kind: EventKind) {
     if shared.detail == Detail::Transitions && kind.is_fine_grained() {
         return;
     }
-    shared
-        .ring
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(Event { cycle, kind });
+    shared.ring.lock().push(Event { cycle, kind });
 }
 
 struct Shared {
@@ -99,7 +96,7 @@ impl std::fmt::Debug for TraceHandle {
             Some(shared) => write!(
                 f,
                 "TraceHandle(enabled, {} events)",
-                shared.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
+                shared.ring.lock().len()
             ),
         }
     }
@@ -160,25 +157,12 @@ impl TraceHandle {
         }
     }
 
-    /// Records `kind` at an explicit cycle (for emitters that know a
-    /// more precise timestamp than the published tick).
-    #[inline]
-    pub fn emit_at(&self, cycle: u64, kind: EventKind) {
-        if let Some(shared) = &self.0 {
-            record(shared, cycle, kind);
-        }
-    }
-
     /// A snapshot of the retained events, oldest first. Empty when
     /// disabled.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
         match &self.0 {
-            Some(shared) => shared
-                .ring
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .to_vec(),
+            Some(shared) => shared.ring.lock().to_vec(),
             None => Vec::new(),
         }
     }
@@ -187,17 +171,13 @@ impl TraceHandle {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         match &self.0 {
-            Some(shared) => shared
-                .ring
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .dropped(),
+            Some(shared) => shared.ring.lock().dropped(),
             None => 0,
         }
     }
 
     /// Exports the retained events as a Chrome trace-event JSON
-    /// document (see [`chrome::export`]).
+    /// document.
     #[must_use]
     pub fn export_chrome(&self) -> String {
         chrome::export(&self.events(), self.dropped())

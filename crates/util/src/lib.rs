@@ -4,7 +4,7 @@
 //! crates.io mirror, so anything that would conventionally be an external
 //! dependency lives here instead:
 //!
-//! * [`rng`] — a small deterministic PRNG used by the randomized
+//! * [`Rng`] — a small deterministic PRNG used by the randomized
 //!   ("property") tests in place of a property-testing framework.
 //! * [`json`] — a minimal JSON writer and reader, enough for metrics
 //!   snapshots and Chrome trace-event files.
@@ -12,11 +12,15 @@
 //!   `masm`, and `mdis` binaries.
 //! * [`shard`] — the deterministic case runner behind the `mfuzz` and
 //!   `mfault` campaigns.
+//! * [`Mutex`] — a mutex whose `lock()` ignores poison, shared by the
+//!   devices and the trace ring.
 
 pub mod cli;
 pub mod json;
-pub mod rng;
+pub(crate) mod rng;
 pub mod shard;
+pub(crate) mod sync;
 
 pub use json::{Json, JsonError};
 pub use rng::Rng;
+pub use sync::Mutex;

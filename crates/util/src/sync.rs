@@ -3,8 +3,9 @@
 //!
 //! The simulator has no meaningful poison story — a panicked thread
 //! means the run is already dead — so propagating `PoisonError` through
-//! every device and test adds noise without safety. This keeps the
-//! ergonomic `handle.lock().push(..)` shape at every call site.
+//! every device, the trace ring and test adds noise without safety.
+//! This keeps the ergonomic `handle.lock().push(..)` shape at every
+//! call site.
 
 use std::sync::MutexGuard;
 
