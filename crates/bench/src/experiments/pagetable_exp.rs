@@ -93,7 +93,7 @@ fn metal_variant(palcode: bool) -> u64 {
     }
     let mut core: Core<Metal> = builder.build_core(core_config()).unwrap();
     let root = build_tables(&mut core.state.bus.ram);
-    core.hooks.mram.data_mut()[64..68].copy_from_slice(&root.to_le_bytes());
+    core.hooks.mram.data_store(64, root).unwrap();
     core.state.translation = TranslationMode::SoftTlb;
     run_to_halt(&mut core, &workload(), 100_000_000);
     core.state.perf.cycles
@@ -203,7 +203,7 @@ pub fn report() -> String {
             .build_core(config)
             .unwrap();
         let root = build_tables(&mut core.state.bus.ram);
-        core.hooks.mram.data_mut()[64..68].copy_from_slice(&root.to_le_bytes());
+        core.hooks.mram.data_store(64, root).unwrap();
         core.state.translation = TranslationMode::SoftTlb;
         run_to_halt(&mut core, &workload(), 100_000_000);
         let _ = writeln!(

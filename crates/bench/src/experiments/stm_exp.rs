@@ -19,7 +19,7 @@ fn stm_core() -> Core<Metal> {
     let mut core = stm::install(MetalBuilder::new())
         .build_core(std_config())
         .unwrap();
-    core.hooks.mram.data_mut()[1028..1032].copy_from_slice(&LOCKTAB.to_le_bytes());
+    core.hooks.mram.data_store(1028, LOCKTAB).unwrap();
     core
 }
 

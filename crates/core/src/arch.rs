@@ -18,6 +18,7 @@
 use crate::Metal;
 use metal_pipeline::state::MachineState;
 use metal_pipeline::Engine;
+use std::borrow::Cow;
 
 #[derive(Clone, Copy)]
 enum Field {
@@ -122,7 +123,7 @@ enum Value<'a> {
     /// Words; the function names word `i`.
     Words(fn(usize) -> String, Vec<u32>),
     /// Bytes, named `<name>[<address>]`.
-    Bytes(&'static str, &'a [u8]),
+    Bytes(&'static str, Cow<'a, [u8]>),
 }
 
 const CSRS: [&str; 7] = [
@@ -148,7 +149,15 @@ fn value(m: Machine<'_>, field: Field) -> Value<'_> {
             |i| format!("m{i}"),
             (0..32).map(|n| m.metal.mregs.get(n)).collect(),
         ),
-        Field::MramData => Value::Bytes("mram data", m.metal.mram.data()),
+        Field::MramData => Value::Bytes(
+            "mram data",
+            m.metal
+                .mram
+                .data()
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect(),
+        ),
         Field::Stats => Value::Text("Metal stats", format!("{:?}", m.metal.stats)),
         Field::Asid => Value::Text("asid", s.asid.to_string()),
         Field::Instret => Value::Text("instret", s.perf.instret.to_string()),
@@ -167,7 +176,7 @@ fn value(m: Machine<'_>, field: Field) -> Value<'_> {
                 .collect(),
         ),
         Field::PageKeys => Value::Words(|i| format!("key[{i}]"), s.tlb.key_masks().to_vec()),
-        Field::Ram => Value::Bytes("ram", ram.dump(0, ram.size() as u32).expect("RAM")),
+        Field::Ram => Value::Bytes("ram", ram.dump(0, ram.size() as u32).expect("RAM").into()),
         Field::Cycles => Value::Text("cycles", s.perf.cycles.to_string()),
         Field::Mcrs => Value::Words(
             |i| format!("mcr {}", MCRS[i]),
@@ -215,7 +224,7 @@ pub fn digest(m: Machine<'_>, set: StateSet) -> u64 {
         match value(m, field) {
             Value::Text(_, text) => bytes(h, text.as_bytes()),
             Value::Words(_, words) => words.into_iter().fold(h, |h, w| fnv(h, w.into())),
-            Value::Bytes(_, b) => bytes(h, b),
+            Value::Bytes(_, b) => bytes(h, &b),
         }
     })
 }
@@ -246,9 +255,9 @@ pub fn first_difference(a: Machine<'_>, b: Machine<'_>, set: StateSet) -> Option
                 (i, name(i), show(&l), show(&r))
             }
             (Value::Bytes(name, l), Value::Bytes(_, r)) => {
-                let i = first(l, r)?;
+                let i = first(&l, &r)?;
                 let show = |b: &[u8]| b.get(i).map_or("absent".into(), |b| format!("{b:#04x}"));
-                (i, format!("{name}[{i:#x}]"), show(l), show(r))
+                (i, format!("{name}[{i:#x}]"), show(&l), show(&r))
             }
             _ => unreachable!("a field has one shape"),
         };
@@ -329,6 +338,13 @@ mod tests {
         assert_eq!(
             (d.field.as_str(), d.left.as_str(), d.right.as_str()),
             ("x5", "0x00000000", "0x00000007")
+        );
+        let [a, mut b] = pair();
+        b.1.mram.data_store(0x40, 0x1200).unwrap();
+        let d = first_difference(machine(&a), machine(&b), ALL).expect("MRAM data differs");
+        assert_eq!(
+            (d.field.as_str(), d.left.as_str(), d.right.as_str()),
+            ("mram data[0x41]", "0x00", "0x12")
         );
     }
 

@@ -14,6 +14,9 @@
 //! locate the error (parity detection, double-bit error, or an invalid
 //! Hamming position) — the word is uncorrectable in place and recovery
 //! must fall back to a golden copy or checkpoint rollback.
+//!
+//! [`EccStore`] is the one word store that keeps these check bits, for
+//! MRAM code, MRAM data and the Metal register file alike.
 
 /// Which check-bit scheme protects a structure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,6 +131,120 @@ pub enum EccCheck {
         /// The reported syndrome.
         syndrome: u8,
     },
+}
+
+/// Words protected by per-word check bits: the one store behind MRAM
+/// code, MRAM data and the Metal register file.
+///
+/// [`EccStore::set`] is the only write port and always encodes, so a
+/// legitimately written word verifies clean. [`EccStore::flip`] models
+/// a particle strike: it changes the word and leaves its check bits
+/// and golden copy stale, which is what makes the flip detectable.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EccStore {
+    mode: EccMode,
+    words: Vec<u32>,
+    check: Vec<u8>,
+    /// Write-through copy of every `set`, for structures that keep one;
+    /// `scrub` repairs from it instead of from the syndrome.
+    golden: Option<Vec<u32>>,
+}
+
+impl EccStore {
+    /// `len` zero words. A zero word's check byte is zero in every mode,
+    /// so a fresh store needs no encoding pass.
+    #[must_use]
+    pub fn new(mode: EccMode, len: usize, golden: bool) -> EccStore {
+        EccStore {
+            mode,
+            words: vec![0; len],
+            check: vec![0; len],
+            golden: golden.then(|| vec![0; len]),
+        }
+    }
+
+    /// The stored words.
+    #[must_use]
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
+
+    /// Word `i`.
+    #[must_use]
+    pub fn get(&self, i: usize) -> u32 {
+        self.words[i]
+    }
+
+    /// Writes word `i` with fresh check bits (and golden copy).
+    pub fn set(&mut self, i: usize, value: u32) {
+        self.words[i] = value;
+        self.check[i] = self.mode.encode(value);
+        if let Some(golden) = &mut self.golden {
+            golden[i] = value;
+        }
+    }
+
+    /// Validates word `i` against its check bits. `None` = clean (or
+    /// ECC off); `Some(syndrome)` = machine check.
+    #[inline]
+    #[must_use]
+    pub fn verify(&self, i: usize) -> Option<u8> {
+        if self.mode == EccMode::None {
+            return None;
+        }
+        match self.mode.check(self.words[i], self.check[i]) {
+            EccCheck::Clean => None,
+            EccCheck::Error { syndrome, .. } => Some(syndrome),
+        }
+    }
+
+    /// Flips one bit of word `i`, leaving its check bits stale. Returns
+    /// `false` out of range.
+    pub fn flip(&mut self, i: usize, bit: u8) -> bool {
+        let Some(word) = self.words.get_mut(i) else {
+            return false;
+        };
+        *word ^= 1 << (bit & 31);
+        true
+    }
+
+    /// Repairs word `i`: from the golden copy when the store keeps one,
+    /// otherwise by syndrome correction. Returns `false` out of range or
+    /// when the check bits cannot locate the error (parity, double-bit).
+    pub fn scrub(&mut self, i: usize) -> bool {
+        if i >= self.words.len() {
+            return false;
+        }
+        let word = match &self.golden {
+            Some(golden) => golden[i],
+            None => match self.mode.check(self.words[i], self.check[i]) {
+                EccCheck::Clean => self.words[i],
+                EccCheck::Error {
+                    corrected: Some(word),
+                    ..
+                } => word,
+                EccCheck::Error {
+                    corrected: None, ..
+                } => return false,
+            },
+        };
+        self.set(i, word);
+        true
+    }
+
+    /// Word `i` with its check bits as stored, for banking a word
+    /// without laundering a corruption: a `get` + `set` round trip would
+    /// re-encode the check bits.
+    #[must_use]
+    pub fn raw(&self, i: usize) -> (u32, u8) {
+        (self.words[i], self.check[i])
+    }
+
+    /// Restores a pair captured by [`EccStore::raw`] verbatim.
+    pub fn set_raw(&mut self, i: usize, (word, check): (u32, u8)) {
+        self.words[i] = word;
+        self.check[i] = check;
+    }
 }
 
 /// Codeword position of each data bit (positions that are powers of

@@ -7,6 +7,8 @@
 //!   to 64 mroutines and their private data.
 //! * [`MregFile`] — the Metal register file `m0..m31` and control
 //!   registers.
+//! * [`EccStore`] — the one check-bit word store behind MRAM code, MRAM
+//!   data and the Metal registers.
 //! * [`Metal`] — Metal mode, the `menter`/`mexit` decode-stage fast
 //!   path, interception, delegation, and the `march.*` architectural
 //!   features (physical memory, TLB, ASIDs, page keys).
@@ -47,7 +49,7 @@ pub(crate) mod metal;
 pub mod mram;
 pub(crate) mod mreg;
 
-pub use ecc::{EccCheck, EccMode};
+pub use ecc::{EccCheck, EccMode, EccStore};
 pub use intercept::{InterceptRule, InterceptTable};
 pub use loader::MetalBuilder;
 pub use metal::{DispatchStyle, Layer, Metal, MetalConfig, MetalStats, Mode};

@@ -182,13 +182,6 @@ impl MetalBuilder {
         let mut metal = Metal::new(self.config);
         let mut palcode_image: Vec<(u32, Vec<u8>)> = Vec::new();
         let mut warnings = Vec::new();
-        let (window_start, window_end) = match self.config.dispatch {
-            DispatchStyle::Mram => (
-                crate::mram::MRAM_BASE,
-                crate::mram::MRAM_BASE + self.config.mram.code_bytes,
-            ),
-            DispatchStyle::Palcode { base } => (base, base + self.config.mram.code_bytes),
-        };
         for (entry, name, src) in &self.routines {
             let base = metal.next_routine_pc();
             let words = assemble_at(src, base).map_err(|e| MetalError::Assemble {
@@ -198,7 +191,7 @@ impl MetalBuilder {
             let diagnostics = lint_words(
                 &words,
                 &LintConfig {
-                    window: Some((window_start, window_end)),
+                    window: Some(self.config.code_window()),
                     data_bytes: self.config.mram.data_bytes,
                     nested_allowed: self.config.layers > 1,
                     checks: if self.lint_clean {

@@ -17,13 +17,13 @@
 //!   mroutines; undelegated causes fall back to the baseline path.
 //! * **Non-interruptibility** (§2.1): interrupts are held while an
 //!   mroutine runs; a fault inside an mroutine is fatal (mroutines are
-//!   statically verified instead — see [`crate::verify`]).
+//!   statically verified instead — see [`crate::loader`]).
 //! * **Nested layers** (§3.5): interception searches higher layers
 //!   first and propagates downward; interrupt delegation searches lower
 //!   layers first.
 
 use crate::delegate::DelegationMap;
-use crate::ecc::EccMode;
+use crate::ecc::{EccMode, EccStore};
 use crate::intercept::InterceptTable;
 use crate::mram::{Mram, MramConfig, MRAM_BASE};
 use crate::mreg::{EntryCause, MregFile, MSTATUS_INTERCEPT_ENABLE};
@@ -73,6 +73,19 @@ pub struct MetalConfig {
     /// Check-bit scheme protecting MRAM words and the Metal register
     /// file. Detected errors raise [`TrapCause::MachineCheck`].
     pub ecc: EccMode,
+}
+
+impl MetalConfig {
+    /// The address window mroutine code executes from, `(start, end)`
+    /// with `end` exclusive: MRAM, or the PALcode image in main memory.
+    #[must_use]
+    pub fn code_window(&self) -> (u32, u32) {
+        let start = match self.dispatch {
+            DispatchStyle::Mram => MRAM_BASE,
+            DispatchStyle::Palcode { base } => base,
+        };
+        (start, start + self.mram.code_bytes)
+    }
 }
 
 impl Default for MetalConfig {
@@ -131,9 +144,12 @@ pub struct MetalStats {
     pub scrubs: u64,
 }
 
-/// One in-flight transition on the entry stack.
+/// One in-flight Metal-mode entry: the frame stack's element.
 #[derive(Clone, Copy, Debug)]
-struct EntryFrame {
+struct Frame {
+    /// The layer the mroutine executes on behalf of (intercept chaining
+    /// searches strictly below it).
+    layer: usize,
     /// Entry-table slot.
     entry: u8,
     /// Entry cycle, for latency attribution at `mexit`.
@@ -162,15 +178,12 @@ pub struct Metal {
     /// latency histograms, keyed by entry-table slot.
     pub transitions: TransitionTable,
     config: MetalConfig,
-    /// Stack of Metal-mode contexts (the layer each entry executes on
-    /// behalf of). Empty = normal mode. Chained intercepts and nested
-    /// `menter` push; `mexit` pops — hardware tracks the mode nesting,
-    /// while saving/restoring `m31` across nested entries is software's
-    /// responsibility (the reentrancy requirement of paper §3.5).
-    mode_stack: Vec<usize>,
-    /// Parallel to `mode_stack`: the entry-table slot and entry cycle of
-    /// each in-flight transition, for latency attribution at `mexit`.
-    entry_stack: Vec<EntryFrame>,
+    /// One frame per Metal-mode entry. Empty = normal mode. Entries,
+    /// chained intercepts and delegated traps push; `mexit` pops —
+    /// hardware tracks the mode nesting, while saving/restoring `m31`
+    /// across nested entries is software's responsibility (the
+    /// reentrancy requirement of paper §3.5).
+    frames: Vec<Frame>,
     /// Site and word/register index of the last delivered machine
     /// check — the implicit operand of `march.mscrub`.
     last_mcheck: Option<(FaultSite, u32)>,
@@ -185,19 +198,14 @@ impl Metal {
     #[must_use]
     pub fn new(config: MetalConfig) -> Metal {
         let layers = config.layers.max(1);
-        let mut mram = Mram::new(config.mram);
-        mram.set_ecc(config.ecc);
-        let mut mregs = MregFile::new();
-        mregs.set_ecc(config.ecc);
         Metal {
-            mram,
-            mregs,
+            mram: Mram::new(config.mram, config.ecc),
+            mregs: MregFile::new(config.ecc),
             layers: vec![Layer::default(); layers],
             stats: MetalStats::default(),
             transitions: TransitionTable::new(),
             config,
-            mode_stack: Vec::new(),
-            entry_stack: Vec::new(),
+            frames: Vec::new(),
             last_mcheck: None,
             active_layer: layers - 1,
         }
@@ -212,22 +220,10 @@ impl Metal {
     /// Current operation mode.
     #[must_use]
     pub fn mode(&self) -> Mode {
-        match self.mode_stack.last() {
-            Some(&layer) => Mode::Metal { layer },
+        match self.frames.last() {
+            Some(frame) => Mode::Metal { layer: frame.layer },
             None => Mode::Normal,
         }
-    }
-
-    /// Nesting depth (0 = normal mode).
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.mode_stack.len()
-    }
-
-    /// The layer new `menter` entries and table programming target.
-    #[must_use]
-    pub fn active_layer(&self) -> usize {
-        self.active_layer
     }
 
     /// PC of an entry's first instruction under the configured dispatch
@@ -235,10 +231,78 @@ impl Metal {
     #[must_use]
     pub fn entry_pc(&self, entry: u8) -> Option<u32> {
         let info = self.mram.entry(entry)?;
-        Some(match self.config.dispatch {
-            DispatchStyle::Mram => MRAM_BASE + info.offset,
-            DispatchStyle::Palcode { base } => base + info.offset,
-        })
+        Some(self.config.code_window().0 + info.offset)
+    }
+
+    /// The check-bit store behind a fault site; `None` for sites that
+    /// keep no check bits.
+    #[must_use]
+    pub fn store(&self, site: FaultSite) -> Option<&EccStore> {
+        match site {
+            FaultSite::MramCode => Some(&self.mram.code),
+            FaultSite::MramData => Some(&self.mram.data),
+            FaultSite::Mreg => Some(&self.mregs.regs),
+            _ => None,
+        }
+    }
+
+    fn store_mut(&mut self, site: FaultSite) -> Option<&mut EccStore> {
+        match site {
+            FaultSite::MramCode => Some(&mut self.mram.code),
+            FaultSite::MramData => Some(&mut self.mram.data),
+            FaultSite::Mreg => Some(&mut self.mregs.regs),
+            _ => None,
+        }
+    }
+
+    /// Flips one bit of word `index` in the store behind `site`, as a
+    /// particle strike would. Returns `false` when the site keeps no
+    /// check bits or `index` is out of range.
+    pub fn flip(&mut self, site: FaultSite, index: usize, bit: u8) -> bool {
+        let hit = self
+            .store_mut(site)
+            .is_some_and(|store| store.flip(index, bit));
+        if hit && site == FaultSite::MramCode {
+            self.mram.redecode(index);
+        }
+        hit
+    }
+
+    /// Repairs word `index` of the store behind `site`: the `mscrub`
+    /// operand. Delivery banked a faulted `m31` into the recovery frame
+    /// before repointing the live register at the faulting pc, so the
+    /// word to repair is the banked copy; it stands in for the live one
+    /// during the scrub.
+    fn scrub(&mut self, site: FaultSite, index: usize) -> bool {
+        let banked = self
+            .frames
+            .last_mut()
+            .filter(|f| f.mcheck)
+            .and_then(|f| f.saved_m31.as_mut());
+        if let (FaultSite::Mreg, 31, Some(banked)) = (site, index, banked) {
+            let regs = &mut self.mregs.regs;
+            let live = regs.raw(31);
+            regs.set_raw(31, *banked);
+            let repaired = regs.scrub(31);
+            *banked = regs.raw(31);
+            regs.set_raw(31, live);
+            return repaired;
+        }
+        let repaired = self.store_mut(site).is_some_and(|store| store.scrub(index));
+        if repaired && site == FaultSite::MramCode {
+            self.mram.redecode(index);
+        }
+        repaired
+    }
+
+    /// Verifies word `index` of the store at `site`. A failed check is
+    /// the machine check to raise, with `tval` naming the word.
+    #[inline]
+    fn checked(&self, site: FaultSite, index: usize, tval: u32) -> Result<(), Trap> {
+        match self.store(site).and_then(|store| store.verify(index)) {
+            None => Ok(()),
+            Some(syndrome) => Err(Trap::new(TrapCause::MachineCheck { site, syndrome }, tval)),
+        }
     }
 
     /// The one instruction fetch for mroutine code, with no mode gating:
@@ -260,13 +324,11 @@ impl Metal {
                 .map(|word| (decode_to(word), state.icache.access(pc)))
                 .map_err(|e| Trap::new(TrapCause::InsnAccessFault, e.addr()))
         } else if self.mram.contains_pc(pc) {
-            match self.verify_mram_code(pc) {
-                Some(trap) => Err(trap),
-                None => self
-                    .mram
-                    .code_decoded(pc)
-                    .map(|decoded| (decoded, self.mram.fetch_latency()))
-                    .map_err(|_| Trap::new(TrapCause::InsnAccessFault, pc)),
+            match self.mram.code_decoded(pc) {
+                Ok(decoded) => self
+                    .checked(FaultSite::MramCode, ((pc - MRAM_BASE) / 4) as usize, pc)
+                    .map(|()| (decoded, self.mram.fetch_latency())),
+                Err(_) => Err(Trap::new(TrapCause::InsnAccessFault, pc)),
             }
         } else {
             return None;
@@ -279,20 +341,17 @@ impl Metal {
 
     /// True if `pc` lies in the PALcode image region.
     fn in_palcode(&self, pc: u32) -> bool {
-        match self.config.dispatch {
-            DispatchStyle::Palcode { base } => {
-                pc >= base && pc < base + self.config.mram.code_bytes
-            }
-            DispatchStyle::Mram => false,
-        }
+        let (start, end) = self.config.code_window();
+        matches!(self.config.dispatch, DispatchStyle::Palcode { .. }) && pc >= start && pc < end
     }
 
-    /// Enters Metal mode for `cause` at `entry`, returning the decode
-    /// replacement. `return_pc` is stored in `m31`.
+    /// Enters Metal mode at `entry` on behalf of `layer` for `cause`,
+    /// returning the decode replacement. `return_pc` is stored in `m31`.
     fn enter(
         &mut self,
         state: &mut MachineState,
         entry: u8,
+        layer: usize,
         cause: EntryCause,
         return_pc: u32,
     ) -> Result<DecodeOutcome, Trap> {
@@ -309,44 +368,55 @@ impl Metal {
         if !self.config.decode_replacement {
             stall += 2; // full redirect instead of in-slot replacement
         }
-        self.mregs.set(31, return_pc);
-        self.mregs.mcause = cause.encode();
-        self.mregs.mentry = u32::from(entry);
-        let (layer, transition_cause) = match self.mode() {
-            Mode::Normal => (
-                self.active_layer,
-                match cause {
-                    EntryCause::Intercept => TransitionCause::Intercept,
-                    _ => TransitionCause::Call,
-                },
-            ),
-            Mode::Metal { layer } => (
-                layer,
-                match cause {
-                    EntryCause::Intercept => TransitionCause::Intercept,
-                    _ => TransitionCause::NestedCall,
-                },
-            ),
-        };
-        self.mode_stack.push(layer);
-        self.transitions.record_entry(entry);
-        self.entry_stack.push(EntryFrame {
-            entry,
-            entered_at: state.perf.cycles,
-            mcheck: false,
-            saved_m31: None,
-        });
-        state.trace.emit(EventKind::MEnter {
-            entry,
-            cause: transition_cause,
-            pc,
-        });
+        self.push_frame(state, entry, pc, layer, cause, return_pc);
         Ok(DecodeOutcome::Replace {
             decoded,
             pc,
             next_fetch: pc.wrapping_add(4),
             stall,
         })
+    }
+
+    /// Enters Metal mode at `entry`, whose first instruction is at `pc`,
+    /// on behalf of `layer`: the one push for calls, intercepts and
+    /// delegated traps. Sets `m31` to `return_pc` and the entry MCRs.
+    fn push_frame(
+        &mut self,
+        state: &mut MachineState,
+        entry: u8,
+        pc: u32,
+        layer: usize,
+        cause: EntryCause,
+        return_pc: u32,
+    ) {
+        let mcheck = matches!(cause, EntryCause::Exception(TrapCause::MachineCheck { .. }));
+        let transition_cause = match (cause, self.mode()) {
+            (EntryCause::Call, Mode::Normal) => TransitionCause::Call,
+            (EntryCause::Call, Mode::Metal { .. }) => TransitionCause::NestedCall,
+            (EntryCause::Intercept, _) => TransitionCause::Intercept,
+            (EntryCause::Exception(_), _) => TransitionCause::Exception,
+            (EntryCause::Interrupt(_), _) => TransitionCause::Interrupt,
+        };
+        // A machine check may preempt Metal mode: bank the interrupted
+        // mroutine's `m31` (raw, check bits and all — it may itself be
+        // the corrupted word) so recovery's `mexit` can restore it.
+        let saved_m31 = (mcheck && self.mode() != Mode::Normal).then(|| self.mregs.regs.raw(31));
+        self.mregs.set(31, return_pc);
+        self.mregs.mcause = cause.encode();
+        self.mregs.mentry = u32::from(entry);
+        self.transitions.record_entry(entry);
+        self.frames.push(Frame {
+            layer,
+            entry,
+            entered_at: state.perf.cycles,
+            mcheck,
+            saved_m31,
+        });
+        state.trace.emit(EventKind::MEnter {
+            entry,
+            cause: transition_cause,
+            pc,
+        });
     }
 
     /// The entry that intercepts `word` when executing in `mode`, if any.
@@ -375,20 +445,7 @@ impl Metal {
 
     /// True while a machine-check recovery mroutine is on the stack.
     fn in_mcheck(&self) -> bool {
-        self.entry_stack.iter().any(|f| f.mcheck)
-    }
-
-    /// Check-bit validation of an MRAM code fetch; `Some` is the
-    /// machine-check trap to raise instead of using the word.
-    fn verify_mram_code(&self, pc: u32) -> Option<Trap> {
-        let syndrome = self.mram.code_verify(pc)?;
-        Some(Trap::new(
-            TrapCause::MachineCheck {
-                site: FaultSite::MramCode,
-                syndrome,
-            },
-            pc,
-        ))
+        self.frames.iter().any(|f| f.mcheck)
     }
 }
 
@@ -428,16 +485,11 @@ impl Hooks for Metal {
                 // advances it past the instruction after emulating, or
                 // leaves it to re-execute.
                 self.mregs.minsn = word;
-                return match self.enter(state, entry, EntryCause::Intercept, pc) {
-                    Ok(outcome) => {
-                        // Execution is attributed to the layer owning the
-                        // matched rule, so chained intercepts keep
-                        // propagating strictly downward.
-                        if let Some(top) = self.mode_stack.last_mut() {
-                            *top = layer;
-                        }
-                        outcome
-                    }
+                // Execution is attributed to the layer owning the matched
+                // rule, so chained intercepts keep propagating strictly
+                // downward.
+                return match self.enter(state, entry, layer, EntryCause::Intercept, pc) {
+                    Ok(outcome) => outcome,
                     Err(trap) => DecodeOutcome::Fault { trap, pc: None },
                 };
             }
@@ -452,6 +504,10 @@ impl Hooks for Metal {
                 } else {
                     entry as u8
                 };
+                let layer = match mode {
+                    Mode::Normal => self.active_layer,
+                    Mode::Metal { layer } => layer,
+                };
                 if mode != Mode::Normal {
                     if self.config.layers <= 1 {
                         // Nested calls need the layered design.
@@ -464,7 +520,7 @@ impl Hooks for Metal {
                 } else {
                     self.stats.menters += 1;
                 }
-                match self.enter(state, entry, EntryCause::Call, pc.wrapping_add(4)) {
+                match self.enter(state, entry, layer, EntryCause::Call, pc.wrapping_add(4)) {
                     Ok(outcome) => outcome,
                     Err(trap) => DecodeOutcome::Fault { trap, pc: None },
                 }
@@ -473,33 +529,22 @@ impl Hooks for Metal {
                 // A corrupted return address must be caught before it
                 // is consumed. The frame stays intact, so after the
                 // recovery mroutine scrubs `m31` this mexit retries.
-                if let Some(syndrome) = self.mregs.verify(31) {
-                    return DecodeOutcome::Fault {
-                        trap: Trap::new(
-                            TrapCause::MachineCheck {
-                                site: FaultSite::Mreg,
-                                syndrome,
-                            },
-                            31,
-                        ),
-                        pc: None,
-                    };
+                if let Err(trap) = self.checked(FaultSite::Mreg, 31, 31) {
+                    return DecodeOutcome::Fault { trap, pc: None };
                 }
                 let target = self.mregs.return_address();
                 self.stats.mexits += 1;
-                self.mode_stack.pop();
-                if let Some(frame) = self.entry_stack.pop() {
-                    self.transitions.record_exit(
-                        frame.entry,
-                        state.perf.cycles.saturating_sub(frame.entered_at),
-                    );
-                    state.trace.emit(EventKind::MExit {
-                        entry: frame.entry,
-                        target,
-                    });
-                    if let Some(banked) = frame.saved_m31 {
-                        self.mregs.set_raw(31, banked);
-                    }
+                let frame = self.frames.pop().expect("Metal mode has a frame");
+                self.transitions.record_exit(
+                    frame.entry,
+                    state.perf.cycles.saturating_sub(frame.entered_at),
+                );
+                state.trace.emit(EventKind::MExit {
+                    entry: frame.entry,
+                    target,
+                });
+                if let Some(banked) = frame.saved_m31 {
+                    self.mregs.regs.set_raw(31, banked);
                 }
                 // A nested mexit unwinds into the *outer mroutine*, whose
                 // code lives in MRAM; only the outermost mexit returns to
@@ -599,46 +644,24 @@ impl Hooks for Metal {
         let Some(pc) = self.entry_pc(entry) else {
             return TrapDisposition::Fatal;
         };
-        let (cause, transition_cause) = match event.cause {
+        let cause = match event.cause {
             TrapCause::Interrupt(line) => {
                 self.stats.delegated_interrupts += 1;
                 self.mregs.soft_ipend |= 1 << line;
-                (EntryCause::Interrupt(line), TransitionCause::Interrupt)
+                EntryCause::Interrupt(line)
             }
             other => {
                 self.stats.delegated_exceptions += 1;
-                (EntryCause::Exception(other), TransitionCause::Exception)
+                EntryCause::Exception(other)
             }
         };
-        // A machine check may preempt Metal mode: bank the interrupted
-        // mroutine's `m31` (raw, check bits and all — it may itself be
-        // the corrupted word) so recovery's `mexit` can restore it.
-        let saved_m31 = match self.mode() {
-            Mode::Metal { .. } => Some(self.mregs.raw(31)),
-            Mode::Normal => None,
-        };
-        self.mregs.set(31, event.pc);
-        self.mregs.mcause = cause.encode();
         self.mregs.mbadaddr = event.tval;
-        self.mregs.mentry = u32::from(entry);
-        self.mode_stack.push(layer);
-        self.transitions.record_entry(entry);
-        self.entry_stack.push(EntryFrame {
-            entry,
-            entered_at: state.perf.cycles,
-            mcheck: is_mcheck,
-            saved_m31,
-        });
         state.trace.emit(EventKind::TrapDelegated {
             entry,
             layer: layer as u8,
-            code: self.mregs.mcause,
+            code: cause.encode(),
         });
-        state.trace.emit(EventKind::MEnter {
-            entry,
-            cause: transition_cause,
-            pc,
-        });
+        self.push_frame(state, entry, pc, layer, cause, event.pc);
         // Delegated dispatch still reads the handler from MRAM next
         // fetch; charge only the non-MRAM penalty.
         let stall = match self.config.dispatch {
@@ -672,15 +695,7 @@ impl Metal {
         match *insn {
             Insn::Rmr { idx, .. } => {
                 if let Some(n) = idx.mreg_index() {
-                    if let Some(syndrome) = self.mregs.verify(n) {
-                        return Err(Trap::new(
-                            TrapCause::MachineCheck {
-                                site: FaultSite::Mreg,
-                                syndrome,
-                            },
-                            n as u32,
-                        ));
-                    }
+                    self.checked(FaultSite::Mreg, n, n as u32)?;
                 }
                 Ok(CustomExec {
                     writeback: Some(self.mregs.read(idx, state)),
@@ -706,22 +721,14 @@ impl Metal {
             }
             Insn::Mld { offset, .. } => {
                 let addr = rs1.wrapping_add(offset as u32);
-                if let Some(syndrome) = self.mram.data_verify(addr) {
-                    return Err(Trap::new(
-                        TrapCause::MachineCheck {
-                            site: FaultSite::MramData,
-                            syndrome,
-                        },
-                        addr,
-                    ));
-                }
-                let value = self
+                let i = self
                     .mram
-                    .data_load(addr)
-                    .map_err(|_| Trap::new(TrapCause::LoadAccessFault, addr))?;
+                    .data_index(addr)
+                    .ok_or_else(|| Trap::new(TrapCause::LoadAccessFault, addr))?;
+                self.checked(FaultSite::MramData, i, addr)?;
                 state.trace.emit(EventKind::MramData { addr, write: false });
                 Ok(CustomExec {
-                    writeback: Some(value),
+                    writeback: Some(self.mram.data.get(i)),
                     extra_cycles: 0,
                 })
             }
@@ -798,44 +805,17 @@ impl Metal {
                 self.active_layer = layer;
                 // Executing code may also reassign its own layer for
                 // downward-intercept attribution.
-                if let Some(top) = self.mode_stack.last_mut() {
-                    *top = layer;
+                if let Some(top) = self.frames.last_mut() {
+                    top.layer = layer;
                 }
             }
             MarchOp::Mtlbiall => {
                 state.tlb.flush_all();
             }
             MarchOp::Mscrub => {
-                let repaired = match self.last_mcheck {
-                    Some((FaultSite::MramCode, index)) => self.mram.scrub_code(index),
-                    Some((FaultSite::MramData, index)) => self.mram.scrub_data(index),
-                    Some((FaultSite::Mreg, n)) => {
-                        let n = (n & 31) as usize;
-                        let banked = self
-                            .entry_stack
-                            .last()
-                            .filter(|f| f.mcheck)
-                            .and_then(|f| f.saved_m31);
-                        match (n, banked) {
-                            // Delivery banked the corrupted `m31` into
-                            // the frame before repointing the live
-                            // register at the faulting pc; the flop to
-                            // repair is the banked copy.
-                            (31, Some(raw)) => match self.mregs.scrub_raw(raw) {
-                                Some(fixed) => {
-                                    self.entry_stack
-                                        .last_mut()
-                                        .expect("frame existence checked above")
-                                        .saved_m31 = Some(fixed);
-                                    true
-                                }
-                                None => false,
-                            },
-                            _ => self.mregs.scrub(n),
-                        }
-                    }
-                    _ => false,
-                };
+                let repaired = self
+                    .last_mcheck
+                    .is_some_and(|(site, index)| self.scrub(site, index as usize));
                 if repaired {
                     self.stats.scrubs += 1;
                     state.trace.emit(EventKind::Recovery {
@@ -887,9 +867,6 @@ impl Metal {
     #[must_use]
     pub fn next_routine_pc(&self) -> u32 {
         let offset = self.mram.config().code_bytes - self.mram.code_free();
-        match self.config.dispatch {
-            DispatchStyle::Mram => MRAM_BASE + offset,
-            DispatchStyle::Palcode { base } => base + offset,
-        }
+        self.config.code_window().0 + offset
     }
 }

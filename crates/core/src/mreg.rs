@@ -7,7 +7,7 @@
 //! processor exposes: cause, faulting address, intercepted instruction
 //! word, and so on.
 
-use crate::ecc::{EccCheck, EccMode};
+use crate::ecc::{EccMode, EccStore};
 use metal_isa::metal::Mcr;
 use metal_isa::reg::MregIdx;
 use metal_pipeline::state::MachineState;
@@ -67,12 +67,8 @@ pub const MSTATUS_INTERCEPT_ENABLE: u32 = 1 << 0;
 /// The Metal register file plus writable MCR state.
 #[derive(Clone, Debug)]
 pub struct MregFile {
-    regs: [u32; 32],
-    /// Per-register check bits (see [`EccMode`]); recomputed on every
-    /// legitimate write, left stale by fault injection.
-    check: [u8; 32],
-    /// Check-bit scheme protecting the register file.
-    ecc: EccMode,
+    /// `m0..m31`. No golden copy: `scrub` repairs by syndrome alone.
+    pub(crate) regs: EccStore,
     /// `mcause` MCR.
     pub mcause: u32,
     /// `mbadaddr` MCR.
@@ -91,13 +87,11 @@ pub struct MregFile {
 }
 
 impl MregFile {
-    /// All-zero reset state.
+    /// All-zero reset state, the registers protected by `ecc`.
     #[must_use]
-    pub fn new() -> MregFile {
+    pub fn new(ecc: EccMode) -> MregFile {
         MregFile {
-            regs: [0; 32],
-            check: [0; 32],
-            ecc: EccMode::None,
+            regs: EccStore::new(ecc, 32, false),
             mcause: 0,
             mbadaddr: 0,
             minsn: 0,
@@ -108,106 +102,21 @@ impl MregFile {
         }
     }
 
-    /// The active check-bit scheme.
-    #[must_use]
-    pub fn ecc(&self) -> EccMode {
-        self.ecc
-    }
-
-    /// Switches the check-bit scheme, recomputing every register's
-    /// check bits from its current (trusted) value.
-    pub fn set_ecc(&mut self, mode: EccMode) {
-        self.ecc = mode;
-        for n in 0..32 {
-            self.check[n] = mode.encode(self.regs[n]);
-        }
-    }
-
     /// Reads Metal register `mN`.
     #[must_use]
     pub fn get(&self, n: usize) -> u32 {
-        self.regs[n & 31]
+        self.regs.get(n & 31)
     }
 
     /// Writes Metal register `mN`.
     pub fn set(&mut self, n: usize, value: u32) {
-        self.regs[n & 31] = value;
-        self.check[n & 31] = self.ecc.encode(value);
-    }
-
-    /// Validates `mN` against its check bits. `None` = clean (or ECC
-    /// off); `Some(syndrome)` = machine check.
-    #[must_use]
-    pub fn verify(&self, n: usize) -> Option<u8> {
-        match self.ecc.check(self.regs[n & 31], self.check[n & 31]) {
-            EccCheck::Clean => None,
-            EccCheck::Error { syndrome, .. } => Some(syndrome),
-        }
-    }
-
-    /// Flips one bit of `mN` (primary flop only; check bits stay
-    /// stale, which is what makes the flip detectable).
-    pub fn inject_bit(&mut self, n: usize, bit: u8) {
-        self.regs[n & 31] ^= 1 << (bit & 31);
-    }
-
-    /// Attempts syndrome correction of `mN`: with SECDED a single-bit
-    /// error is repaired in place. Returns `false` when the check bits
-    /// cannot locate the error (parity, double-bit) — the register has
-    /// no golden copy, so such faults are uncorrectable.
-    pub fn scrub(&mut self, n: usize) -> bool {
-        match self.ecc.check(self.regs[n & 31], self.check[n & 31]) {
-            EccCheck::Clean => true,
-            EccCheck::Error {
-                corrected: Some(word),
-                ..
-            } => {
-                self.regs[n & 31] = word;
-                self.check[n & 31] = self.ecc.encode(word);
-                true
-            }
-            EccCheck::Error {
-                corrected: None, ..
-            } => false,
-        }
-    }
-
-    /// Raw `(value, check-bits)` pair of `mN`, for fault-transparent
-    /// banking across machine-check delivery (a plain [`Self::get`] +
-    /// [`Self::set`] round trip would re-encode the check bits and
-    /// launder an undetected corruption into a "clean" word).
-    #[must_use]
-    pub fn raw(&self, n: usize) -> (u32, u8) {
-        (self.regs[n & 31], self.check[n & 31])
-    }
-
-    /// Restores a pair captured by [`Self::raw`]; check bits are kept
-    /// verbatim, not recomputed.
-    pub fn set_raw(&mut self, n: usize, raw: (u32, u8)) {
-        self.regs[n & 31] = raw.0;
-        self.check[n & 31] = raw.1;
-    }
-
-    /// Repairs a banked raw pair: `Some` is the (possibly corrected)
-    /// clean pair, `None` means the error is not locatable.
-    #[must_use]
-    pub fn scrub_raw(&self, raw: (u32, u8)) -> Option<(u32, u8)> {
-        match self.ecc.check(raw.0, raw.1) {
-            EccCheck::Clean => Some(raw),
-            EccCheck::Error {
-                corrected: Some(word),
-                ..
-            } => Some((word, self.ecc.encode(word))),
-            EccCheck::Error {
-                corrected: None, ..
-            } => None,
-        }
+        self.regs.set(n & 31, value);
     }
 
     /// The `m31` return address.
     #[must_use]
     pub fn return_address(&self) -> u32 {
-        self.regs[31]
+        self.get(31)
     }
 
     /// Executes `rmr`: read a Metal register or MCR.
@@ -217,7 +126,7 @@ impl MregFile {
     #[must_use]
     pub fn read(&self, idx: MregIdx, state: &MachineState) -> u32 {
         if let Some(n) = idx.mreg_index() {
-            return self.regs[n];
+            return self.get(n);
         }
         match Mcr::from_index(idx) {
             Some(Mcr::Mcause) => self.mcause,
@@ -241,8 +150,6 @@ impl MregFile {
     /// read-only or unknown MCRs are ignored.
     pub fn write(&mut self, idx: MregIdx, value: u32) {
         if let Some(n) = idx.mreg_index() {
-            // The write port computes check bits alongside the data,
-            // like `set` — a written register always verifies clean.
             self.set(n, value);
             return;
         }
@@ -255,12 +162,6 @@ impl MregFile {
             Some(mcr) if mcr.read_only() => {}
             _ => {}
         }
-    }
-}
-
-impl Default for MregFile {
-    fn default() -> MregFile {
-        MregFile::new()
     }
 }
 
@@ -290,7 +191,7 @@ mod tests {
 
     #[test]
     fn mreg_read_write() {
-        let mut f = MregFile::new();
+        let mut f = MregFile::new(EccMode::Secded);
         let state = MachineState::new(&CoreConfig::default());
         f.set(0, 7);
         f.set(31, 0x1000);
@@ -300,11 +201,12 @@ mod tests {
         assert_eq!(f.read(m0, &state), 7);
         f.write(m0, 9);
         assert_eq!(f.get(0), 9);
+        assert_eq!(f.regs.verify(0), None, "wmr writes fresh check bits");
     }
 
     #[test]
     fn mcr_access() {
-        let mut f = MregFile::new();
+        let mut f = MregFile::new(EccMode::None);
         let mut state = MachineState::new(&CoreConfig::default());
         state.perf.cycles = 1234;
         state.asid = 5;
@@ -317,32 +219,5 @@ mod tests {
         assert_eq!(f.read(Mcr::Mclock.index(), &state), 1234);
         // Unknown MCR reads as zero.
         assert_eq!(f.read(MregIdx::from_field(0x7FF), &state), 0);
-    }
-
-    #[test]
-    fn mreg_inject_verify_scrub() {
-        let mut f = MregFile::new();
-        f.set_ecc(EccMode::Secded);
-        f.set(5, 0xDEAD_BEEF);
-        assert_eq!(f.verify(5), None);
-        f.inject_bit(5, 13);
-        let syn = f.verify(5).expect("flip detected");
-        assert_eq!(syn & 0x80, 0, "single-bit syndrome is locatable");
-        assert!(f.scrub(5));
-        assert_eq!(f.get(5), 0xDEAD_BEEF);
-        assert_eq!(f.verify(5), None);
-        // Double flip: detected but not repairable in place.
-        f.inject_bit(5, 1);
-        f.inject_bit(5, 2);
-        assert!(f.verify(5).is_some());
-        assert!(!f.scrub(5));
-    }
-
-    #[test]
-    fn mreg_ecc_off_never_verifies() {
-        let mut f = MregFile::new();
-        f.set(3, 0x1234);
-        f.inject_bit(3, 0);
-        assert_eq!(f.verify(3), None);
     }
 }

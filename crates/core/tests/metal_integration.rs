@@ -169,7 +169,7 @@ fn mram_data_segment_persists_across_invocations() {
     let halt = load_and_run(&mut core, "menter 4\n menter 4\n menter 4\n ebreak", 10_000);
     assert_eq!(halt, Some(HaltReason::Ebreak { code: 3 }));
     // Host-side view agrees.
-    assert_eq!(&core.hooks.mram.data()[0..4], &3u32.to_le_bytes());
+    assert_eq!(core.hooks.mram.data_load(0), Ok(3));
 }
 
 #[test]
@@ -571,8 +571,7 @@ fn nested_layers_intercept_higher_first_then_propagate() {
     );
     assert_eq!(halt, Some(HaltReason::Ebreak { code: 77 }));
     assert_eq!(core.hooks.stats.intercepts, 2, "both layers fired");
-    assert_eq!(&core.hooks.mram.data()[0..4], &1u32.to_le_bytes());
-    assert_eq!(&core.hooks.mram.data()[4..8], &1u32.to_le_bytes());
+    assert_eq!(core.hooks.mram.data()[..2], [1, 1]);
 }
 
 #[test]

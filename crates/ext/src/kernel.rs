@@ -4,25 +4,13 @@
 //! [`crate::privilege`] kit rather than by a hardware privilege mode —
 //! the point of paper §3.1. Users enter with `menter KENTER` (syscall
 //! number in `a0`, argument in `a1`); the kernel returns with
-//! `menter KEXIT`.
+//! `menter KEXIT`. The syscall table's order numbers the syscalls:
+//! 0 writes the byte in `a1` to the console, 1 returns the process ID
+//! (always 1), 2 yields (a no-op), and 3 exits with code `a1`.
 
 use crate::machine::layout;
 use crate::privilege;
 use metal_core::MetalBuilder;
-
-/// Syscall numbers.
-pub mod sys {
-    /// Write the byte in `a1` to the console; returns 0.
-    pub const PUTC: u32 = 0;
-    /// Return the process ID (always 1 here).
-    pub const GETPID: u32 = 1;
-    /// Yield (a no-op for the single-process kernel); returns 0.
-    pub const YIELD: u32 = 2;
-    /// Exit with code `a1` (halts the simulation).
-    pub const EXIT: u32 = 3;
-    /// Number of syscalls.
-    pub const COUNT: u32 = 4;
-}
 
 /// Marker exit code the kernel uses for privilege violations.
 pub const VIOLATION_EXIT: u32 = 0xFFF;

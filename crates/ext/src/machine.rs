@@ -16,8 +16,6 @@ pub mod layout {
     pub const KERNEL_BASE: u32 = 0x1_0000;
     /// Kernel syscall table (word-sized handler pointers).
     pub const SYSCALL_TABLE: u32 = 0x400;
-    /// Top of the user stack.
-    pub const USER_STACK_TOP: u32 = 0x1_F000;
     /// Top of the kernel stack.
     pub const KERNEL_STACK_TOP: u32 = 0xF000;
 }

@@ -209,11 +209,16 @@ impl GuestPageTable {
 mod tests {
     use super::*;
     use crate::machine::run_guest;
+    use metal_core::EccMode;
     use metal_pipeline::state::{CoreConfig, TranslationMode};
     use metal_pipeline::{Core, HaltReason};
 
     fn setup() -> Core<metal_core::Metal> {
-        let mut core = install(MetalBuilder::new())
+        setup_with(EccMode::None)
+    }
+
+    fn setup_with(ecc: EccMode) -> Core<metal_core::Metal> {
+        let mut core = install(MetalBuilder::new().ecc(ecc))
             .build_core(CoreConfig {
                 ram_bytes: 8 << 20,
                 ..CoreConfig::default()
@@ -229,7 +234,7 @@ mod tests {
         let root = pt.root;
         // Prime the kit's MRAM data directly (the SET_ROOT mroutine does
         // the same from guest code; exercised in its own test).
-        core.hooks.mram.data_mut()[64..68].copy_from_slice(&root.to_le_bytes());
+        core.hooks.mram.data_store(64, root).unwrap();
         core.state.translation = TranslationMode::SoftTlb;
         core
     }
@@ -254,6 +259,21 @@ mod tests {
             "fetch + data refills: {:?}",
             core.hooks.stats
         );
+    }
+
+    #[test]
+    fn host_primed_root_verifies_under_secded() {
+        // The refill mroutine's first `mld` reads the root the host
+        // primed: it must carry check bits like any `mst`.
+        let mut core = setup_with(EccMode::Secded);
+        let halt = run_guest(
+            &mut core,
+            "li s0, 0x20000\n li t0, 77\n sw t0, 0(s0)\n lw a0, 0(s0)\n ebreak",
+            100_000,
+        );
+        assert_eq!(halt, Some(HaltReason::Ebreak { code: 77 }));
+        assert_eq!(core.hooks.stats.machine_checks, 0);
+        assert!(core.hooks.stats.delegated_exceptions >= 2);
     }
 
     #[test]

@@ -88,8 +88,6 @@ pub const WRITE_SET_MAX: u32 = 16;
 pub const CTX_BASE: u32 = 1152;
 /// Bytes per context.
 pub const CTX_SIZE: u32 = 512;
-/// Number of contexts the MRAM data segment accommodates.
-pub const MAX_CONTEXTS: u32 = 4;
 
 // Context-relative offsets.
 const CTX_STATUS: u32 = 0;
@@ -529,7 +527,7 @@ mod tests {
                 ..CoreConfig::default()
             })
             .unwrap();
-        core.hooks.mram.data_mut()[1028..1032].copy_from_slice(&LOCKTAB.to_le_bytes());
+        core.hooks.mram.data_store(1028, LOCKTAB).unwrap();
         core
     }
 

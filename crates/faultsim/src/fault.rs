@@ -3,10 +3,10 @@
 //! A [`FaultSpec`] names one bit of one hardware structure. Transient
 //! faults flip the bit once; stuck-at faults force it to a value and
 //! are re-applied at chunk boundaries so later writes cannot clear
-//! them. Sites map onto the injection hooks the hardware layers expose
-//! (`Mram::inject_code_bit`, `MregFile::inject_bit`,
-//! `Tlb::inject_entry_bit`, `Cache::inject_tag_bit`,
-//! `Core::inject_latch_bit`).
+//! them. The MRAM and MReg sites flip a word of the check-bit store
+//! behind the site ([`Metal::flip`]); the other sites map onto the
+//! injection hooks their hardware layers expose (`Tlb::inject_entry_bit`,
+//! `Cache::inject_tag_bit`, `Core::inject_latch_bit`).
 
 use metal_core::Metal;
 use metal_isa::reg::Reg;
@@ -77,20 +77,10 @@ impl FaultTarget for Interp<Metal> {
 /// copies of the corrupted word cannot be fetched.
 pub fn apply<E: FaultTarget>(engine: &mut E, spec: &FaultSpec) -> bool {
     let hit = match spec.site {
-        FaultSite::MramCode => engine
-            .hooks_mut()
-            .mram
-            .inject_code_bit(spec.index, spec.bit),
-        FaultSite::MramData => engine
-            .hooks_mut()
-            .mram
-            .inject_data_bit(spec.index, spec.bit),
-        FaultSite::Mreg => {
-            let n = spec.index as usize & 31;
-            engine.hooks_mut().mregs.inject_bit(n, spec.bit);
-            // `x0`-style masking does not exist for mregs: every slot
-            // holds real state, so the flip always lands.
-            true
+        FaultSite::MramCode | FaultSite::MramData | FaultSite::Mreg => {
+            engine
+                .hooks_mut()
+                .flip(spec.site, spec.index as usize, spec.bit)
         }
         FaultSite::GuestReg => match Reg::new(spec.index as u8) {
             Some(r) if r != Reg::ZERO => {
@@ -135,14 +125,18 @@ pub fn apply<E: FaultTarget>(engine: &mut E, spec: &FaultSpec) -> bool {
 pub fn force<E: FaultTarget>(engine: &mut E, spec: &FaultSpec, value: bool) {
     let bit = spec.bit & 31;
     let word = match spec.site {
-        FaultSite::MramCode => engine.hooks().mram.code_word_at(spec.index),
-        FaultSite::MramData => engine.hooks().mram.data_word_at(spec.index),
-        FaultSite::Mreg => engine.hooks().mregs.get(spec.index as usize & 31),
         FaultSite::GuestReg => match Reg::new(spec.index as u8) {
             Some(r) => engine.state().regs.get(r),
             None => return,
         },
-        _ => return,
+        site => match engine
+            .hooks()
+            .store(site)
+            .and_then(|store| store.words().get(spec.index as usize))
+        {
+            Some(&word) => word,
+            None => return,
+        },
     };
     if (word >> bit) & 1 != u32::from(value) {
         apply(engine, spec);

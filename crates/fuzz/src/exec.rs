@@ -320,7 +320,13 @@ impl CaseRunner {
             halt,
             regs: state.regs.snapshot(),
             mregs: std::array::from_fn(|n| hooks.metal.mregs.get(n)),
-            mram_data: hooks.metal.mram.data().to_vec(),
+            mram_data: hooks
+                .metal
+                .mram
+                .data()
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect(),
             instret: state.perf.instret,
             retired: hooks.retired.clone(),
             retired_total: hooks.retired_total,

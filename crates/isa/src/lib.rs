@@ -35,12 +35,6 @@ pub use insn::Insn;
 pub use metal::{InterceptSelector, MarchOp, Mcr, MetalOpcode};
 pub use reg::{MregIdx, Reg};
 
-/// Width of the architecture's integer registers, in bits.
-pub const XLEN: u32 = 32;
-
-/// Size of one instruction in bytes. The ISA has no compressed extension.
-pub const INSN_BYTES: u32 = 4;
-
 /// Sign-extend the low `bits` bits of `value` to a full 32-bit signed value.
 ///
 /// # Panics

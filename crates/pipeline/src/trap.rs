@@ -82,15 +82,15 @@ impl TrapCause {
             TrapCause::MachineCheck { site, syndrome } => {
                 MACHINE_CHECK_BASE | (site.code() << 5) | (u32::from(syndrome) << 8)
             }
-            TrapCause::Interrupt(line) => 0x8000_0000 | u32::from(line),
+            TrapCause::Interrupt(line) => csr::CAUSE_INTERRUPT_BIT | u32::from(line),
         }
     }
 
     /// Reconstructs a cause from its code.
     #[must_use]
     pub fn from_code(code: u32) -> Option<TrapCause> {
-        if code & 0x8000_0000 != 0 {
-            let line = code & 0x7FFF_FFFF;
+        if code & csr::CAUSE_INTERRUPT_BIT != 0 {
+            let line = code & !csr::CAUSE_INTERRUPT_BIT;
             return if line < 32 {
                 Some(TrapCause::Interrupt(line as u8))
             } else {

@@ -53,7 +53,10 @@ fn main() {
     pt.map(ram, 0x20_0000, 0x21_0000, Pte::R); // read-only alias
     ram.write_u32(0x21_0000, 777).unwrap();
     let root = pt.root;
-    core.hooks.mram.data_mut()[64..68].copy_from_slice(&root.to_le_bytes());
+    core.hooks
+        .mram
+        .data_store(64, root)
+        .expect("root slot in MRAM data");
     core.state.translation = TranslationMode::SoftTlb;
 
     let halt = run_guest(&mut core, GUEST, 1_000_000);

@@ -70,7 +70,10 @@ fn main() {
     let mut core = stm::install(MetalBuilder::new())
         .build_core(CoreConfig::default())
         .expect("STM mroutines verify");
-    core.hooks.mram.data_mut()[1028..1032].copy_from_slice(&LOCKTAB.to_le_bytes());
+    core.hooks
+        .mram
+        .data_store(1028, LOCKTAB)
+        .expect("lock-table slot in MRAM data");
 
     let halt = run_guest(&mut core, GUEST, 10_000_000);
     let Some(HaltReason::Ebreak { code }) = halt else {

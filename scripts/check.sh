@@ -78,6 +78,13 @@ if [[ "${CHECK_FAULT:-0}" == "1" ]]; then
             --kind transient --max-sdc 0 --min-corrected-pct 95 \
             --json "$out/$engine.json"
         diff "tests/golden/mfault_seed7_loop_$engine.json" "$out/$engine.json"
+        # Parity and stuck-at paths: golden-copy scrubs, syndrome-only
+        # scrubs that fall back to rollback, and stuck MRegs that
+        # survive it must keep their classification.
+        target/release/mfault --seed 7 --cases 100 --jobs 2 --engine "$engine" \
+            --workload loop --ecc parity --kind mixed --sites mram-code,mram-data,mreg \
+            --json "$out/$engine-parity.json" > /dev/null
+        diff "tests/golden/mfault_seed7_parity_mixed_$engine.json" "$out/$engine-parity.json"
     done
     rm -r "$out"
     # The harness itself must not perturb state.

@@ -35,7 +35,7 @@ fn mram_data_state_agrees() {
         "menter 0\n menter 0\n menter 0\n menter 0\n ebreak",
     );
     assert_eq!(code, 4);
-    assert_eq!(ch.mram.data()[0..4], ih.mram.data()[0..4]);
+    assert_eq!(ch.mram.data()[0], ih.mram.data()[0]);
 }
 
 #[test]

@@ -85,7 +85,7 @@ fn combined_kits_run_a_mixed_workload() {
     let mut core = builder
         .build_core(CoreConfig::default())
         .expect("kits build");
-    core.hooks.mram.data_mut()[1028..1032].copy_from_slice(&0x30_0000u32.to_le_bytes());
+    core.hooks.mram.data_store(1028, 0x30_0000).unwrap();
     let program = r"
         # Mint a capability over a buffer and store through it.
         la a0, viol

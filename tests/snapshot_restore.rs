@@ -140,8 +140,8 @@ fn restore_discards_later_writes() {
     assert_eq!(core.state().csr.mscratch, 0, "CSR write survived restore");
     assert_eq!(core.hooks().mregs.get(5), 0, "mreg write survived restore");
     assert_eq!(
-        core.hooks().mram.data()[4..8],
-        [0; 4],
+        core.hooks().mram.data_load(4),
+        Ok(0),
         "MRAM data write survived restore"
     );
     assert_eq!(
