@@ -20,7 +20,7 @@ use metal_ext::pagetable::{self, GuestPageTable};
 use metal_mem::tlb::Pte;
 use metal_mem::TlbConfig;
 use metal_pipeline::state::{CoreConfig, TranslationMode};
-use metal_pipeline::{Core, NoHooks};
+use metal_pipeline::{Core, Engine, NoHooks};
 use std::fmt::Write as _;
 
 /// Data pages in the working set.

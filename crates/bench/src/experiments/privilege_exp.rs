@@ -9,7 +9,7 @@
 use crate::harness::{per_op, run_to_halt, std_config};
 use metal_core::{Metal, MetalBuilder};
 use metal_ext::privilege;
-use metal_pipeline::{Core, NoHooks};
+use metal_pipeline::{Core, Engine, NoHooks};
 use std::fmt::Write as _;
 
 const CALLS: u64 = 200;

@@ -14,7 +14,7 @@ use crate::harness::std_config;
 use metal_core::{Metal, MetalBuilder};
 use metal_ext::uintr;
 use metal_mem::devices::{map, Nic, NicHandle};
-use metal_pipeline::{Core, NoHooks};
+use metal_pipeline::{Core, Engine, NoHooks};
 use std::fmt::Write as _;
 
 const PACKETS: u64 = 16;

@@ -25,7 +25,7 @@
 //! ```
 //! use metal_core::loader::MetalBuilder;
 //! use metal_pipeline::state::CoreConfig;
-//! use metal_pipeline::HaltReason;
+//! use metal_pipeline::{Engine, HaltReason};
 //!
 //! // An mroutine that doubles a0, bound to entry 7.
 //! let mut core = MetalBuilder::new()

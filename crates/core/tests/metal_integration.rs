@@ -8,7 +8,7 @@ use metal_isa::reg::Reg;
 use metal_mem::devices::{map, Timer};
 use metal_mem::CacheConfig;
 use metal_pipeline::state::{CoreConfig, TranslationMode};
-use metal_pipeline::{Core, HaltReason, TrapCause};
+use metal_pipeline::{Core, Engine, HaltReason, TrapCause};
 
 fn perfect_cache() -> CacheConfig {
     CacheConfig {

@@ -182,7 +182,7 @@ mod tests {
     use crate::machine::run_guest;
     use metal_mem::tlb::Pte;
     use metal_pipeline::state::{CoreConfig, TranslationMode};
-    use metal_pipeline::{Core, HaltReason, TrapCause};
+    use metal_pipeline::{Core, Engine, HaltReason, TrapCause};
 
     /// Enclave page: VA == PA for simplicity.
     const ENC_PAGE: u32 = 0x0060_0000 & 0xFFFFF000;

@@ -198,7 +198,7 @@ mod tests {
     use metal_mem::devices::{map, Timer};
     use metal_mem::tlb::Pte;
     use metal_pipeline::state::{CoreConfig, TranslationMode};
-    use metal_pipeline::{Core, HaltReason};
+    use metal_pipeline::{Core, Engine, HaltReason};
 
     /// Shared virtual layout: both processes run at VA 0x10000 with a
     /// counter page at VA 0x20000 — mapped to different frames per ASID.

@@ -39,12 +39,12 @@
 //! RAM, so a case costs mostly the victim build and the engine
 //! construction.
 
-use crate::fault::{FaultKind, FaultSpec, FaultTarget, CACHE_DSIDE};
+use crate::fault::{FaultKind, FaultSpec, CACHE_DSIDE};
 use crate::workload;
 use metal_core::arch::{self, Machine};
 use metal_core::{EccMode, Metal};
 use metal_pipeline::state::{CoreConfig, TranslationMode};
-use metal_pipeline::{Core, HaltReason, Interp};
+use metal_pipeline::{Core, Engine, HaltReason, Interp};
 use metal_trace::FaultSite;
 use metal_util::json::Json;
 use metal_util::{shard, Rng};
@@ -433,7 +433,7 @@ pub fn run(cfg: &CampaignConfig) -> Report {
     }
 }
 
-fn run_typed<E: FaultTarget>(cfg: &CampaignConfig) -> Report {
+fn run_typed<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig) -> Report {
     let (_, outcomes) = shard::run(
         cfg.jobs,
         Some(cfg.cases),
@@ -453,7 +453,7 @@ fn run_typed<E: FaultTarget>(cfg: &CampaignConfig) -> Report {
 
 /// Draws a fault spec from the case RNG and the workload's live-site
 /// map. Sites without readable words degrade stuck-at to transient.
-fn draw_spec<E: FaultTarget>(
+fn draw_spec<E: Engine<Hooks = Metal>>(
     rng: &mut Rng,
     cfg: &CampaignConfig,
     engine: &E,
@@ -521,7 +521,7 @@ fn skipped(index: u64) -> CaseOutcome {
 
 /// Runs the machine to completion, re-asserting a stuck-at fault at
 /// chunk boundaries.
-fn run_faulty<E: FaultTarget>(engine: &mut E, spec: &FaultSpec) {
+fn run_faulty<E: Engine<Hooks = Metal>>(engine: &mut E, spec: &FaultSpec) {
     match spec.kind {
         FaultKind::Transient => {
             let _ = engine.run_fuel(FUEL);
@@ -542,7 +542,7 @@ fn run_faulty<E: FaultTarget>(engine: &mut E, spec: &FaultSpec) {
     }
 }
 
-fn run_case<E: FaultTarget>(cfg: &CampaignConfig, index: u64) -> CaseOutcome {
+fn run_case<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig, index: u64) -> CaseOutcome {
     let seed = case_seed(cfg.seed, index);
     let mut rng = Rng::new(seed);
     let Ok(built) = workload::build(cfg, seed) else {

@@ -6,11 +6,13 @@
 //! them. The MRAM and MReg sites flip a word of the check-bit store
 //! behind the site ([`Metal::flip`]); the other sites map onto the
 //! injection hooks their hardware layers expose (`Tlb::inject_entry_bit`,
-//! `Cache::inject_tag_bit`, `Core::inject_latch_bit`).
+//! `Cache::inject_tag_bit`, and [`Engine::inject_latch_bit`], which the
+//! pipelined core implements and the interpreter, having no latches,
+//! answers with `false`).
 
 use metal_core::Metal;
 use metal_isa::reg::Reg;
-use metal_pipeline::{Core, Engine, Interp};
+use metal_pipeline::Engine;
 use metal_trace::{EventKind, FaultSite};
 
 /// How the injected bit misbehaves.
@@ -47,35 +49,13 @@ pub struct FaultSpec {
 /// the I-cache for [`FaultSite::Cache`].
 pub const CACHE_DSIDE: u32 = 1 << 31;
 
-/// An engine the campaign can inject into. Adds the one site that is
-/// not reachable through [`Engine`]'s shared surface: inter-stage
-/// pipeline latches, which only the pipelined core has.
-pub trait FaultTarget: Engine<Hooks = Metal> {
-    /// Flips a bit in an occupied inter-stage latch, if the engine
-    /// models any. Returns false when the latch is empty or the engine
-    /// has no pipeline (the fault is masked by construction).
-    fn inject_latch(&mut self, stage: u8, bit: u8) -> bool;
-}
-
-impl FaultTarget for Core<Metal> {
-    fn inject_latch(&mut self, stage: u8, bit: u8) -> bool {
-        self.inject_latch_bit(stage, bit)
-    }
-}
-
-impl FaultTarget for Interp<Metal> {
-    fn inject_latch(&mut self, _stage: u8, _bit: u8) -> bool {
-        false
-    }
-}
-
 /// Applies a fault as a one-shot bit flip. Returns whether any state
 /// actually changed (an empty TLB slot, invalid cache line, empty
 /// latch, or `x0` absorbs the fault — masked by construction).
 ///
 /// Code-word injection drops the shared decode cache so stale decoded
 /// copies of the corrupted word cannot be fetched.
-pub fn apply<E: FaultTarget>(engine: &mut E, spec: &FaultSpec) -> bool {
+pub fn apply<E: Engine<Hooks = Metal>>(engine: &mut E, spec: &FaultSpec) -> bool {
     let hit = match spec.site {
         FaultSite::MramCode | FaultSite::MramData | FaultSite::Mreg => {
             engine
@@ -103,7 +83,7 @@ pub fn apply<E: FaultTarget>(engine: &mut E, spec: &FaultSpec) -> bool {
                 state.icache.inject_tag_bit(line, spec.bit)
             }
         }
-        FaultSite::Latch => engine.inject_latch(spec.index as u8, spec.bit),
+        FaultSite::Latch => engine.inject_latch_bit(spec.index as u8, spec.bit),
     };
     if hit {
         if spec.site == FaultSite::MramCode {
@@ -122,7 +102,7 @@ pub fn apply<E: FaultTarget>(engine: &mut E, spec: &FaultSpec) -> bool {
 /// value if an intervening write repaired it. Only the readable sites
 /// (MRAM words, registers) support stuck-at faults; the campaign
 /// never draws stuck-at specs for the others.
-pub fn force<E: FaultTarget>(engine: &mut E, spec: &FaultSpec, value: bool) {
+pub fn force<E: Engine<Hooks = Metal>>(engine: &mut E, spec: &FaultSpec, value: bool) {
     let bit = spec.bit & 31;
     let word = match spec.site {
         FaultSite::GuestReg => match Reg::new(spec.index as u8) {

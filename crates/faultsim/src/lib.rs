@@ -32,4 +32,4 @@ pub use campaign::{
     run, CampaignConfig, CaseOutcome, Classification, EngineChoice, KindChoice, Report, Tally,
     WorkloadKind,
 };
-pub use fault::{FaultKind, FaultSpec, FaultTarget};
+pub use fault::{FaultKind, FaultSpec};

@@ -24,8 +24,6 @@ pub struct UnitReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Statically-resolved `mintercept` arms: `(selector, entry, pc)`.
     pub intercepts: Vec<(InterceptSelector, u32, u32)>,
-    /// Statically-resolved nested `menter` entries: `(entry, pc)`.
-    pub menter_entries: Vec<(u32, u32)>,
     /// Worst-case instruction count, when every loop is bounded.
     pub wcet: Option<u64>,
     /// `mld`/`mst` sites whose exact address could not be resolved to a
@@ -102,17 +100,13 @@ impl Analyzer<'_> {
                                     .to_owned(),
                             );
                         }
-                    } else if entry == MENTER_INDIRECT {
-                        if checks.privilege {
-                            self.diag(
-                                Level::Warn,
-                                Check::Privilege,
-                                pc,
-                                "indirect nested menter cannot be checked statically".to_owned(),
-                            );
-                        }
-                    } else {
-                        self.report.menter_entries.push((entry, pc));
+                    } else if entry == MENTER_INDIRECT && checks.privilege {
+                        self.diag(
+                            Level::Warn,
+                            Check::Privilege,
+                            pc,
+                            "indirect nested menter cannot be checked statically".to_owned(),
+                        );
                     }
                 }
                 Insn::Mexit => saw_exit_path = true,
@@ -680,7 +674,6 @@ pub fn analyze(words: &[u32], config: &LintConfig, asm: Option<&Assembled>) -> U
         report: UnitReport {
             diagnostics: Vec::new(),
             intercepts: Vec::new(),
-            menter_entries: Vec::new(),
             wcet: None,
             unresolved_accesses: 0,
         },
@@ -696,82 +689,6 @@ pub fn analyze(words: &[u32], config: &LintConfig, asm: Option<&Assembled>) -> U
         UnitKind::Program => a.program_pass(),
     }
     a.report
-}
-
-/// Cross-routine redirection analysis over per-unit reports.
-///
-/// Each element pairs an mroutine's entry number with its report. An
-/// edge `a -> b` exists when routine `a` arms an intercept targeting
-/// entry `b` or nest-enters `b` directly; cycles mean an intercepted
-/// instruction (or nested entry) can bounce between mroutines forever.
-#[must_use]
-pub fn cross_routine(units: &[(u32, &UnitReport)]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let entries: Vec<u32> = units.iter().map(|&(e, _)| e).collect();
-    // Adjacency by position in `units`, plus the arming pc per edge.
-    let mut edges: Vec<Vec<(usize, u32)>> = vec![Vec::new(); units.len()];
-    for (i, &(_, report)) in units.iter().enumerate() {
-        let targets = report
-            .intercepts
-            .iter()
-            .map(|&(_, entry, pc)| (entry, pc))
-            .chain(report.menter_entries.iter().copied());
-        for (entry, pc) in targets {
-            match entries.iter().position(|&e| e == entry) {
-                Some(j) => edges[i].push((j, pc)),
-                None => diags.push(Diagnostic {
-                    level: Level::Warn,
-                    check: Check::Intercept,
-                    pc,
-                    line: None,
-                    col: None,
-                    message: format!(
-                        "redirection targets entry {entry}, which is not among the \
-                         analyzed mroutines"
-                    ),
-                }),
-            }
-        }
-    }
-    // DFS cycle detection; report the back edge's arming site.
-    let n = units.len();
-    let mut state = vec![0u8; n];
-    for root in 0..n {
-        if state[root] != 0 {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        state[root] = 1;
-        while let Some(&(id, next)) = stack.last() {
-            if next < edges[id].len() {
-                stack.last_mut().expect("non-empty").1 += 1;
-                let (j, pc) = edges[id][next];
-                match state[j] {
-                    0 => {
-                        state[j] = 1;
-                        stack.push((j, 0));
-                    }
-                    1 => diags.push(Diagnostic {
-                        level: Level::Deny,
-                        check: Check::Intercept,
-                        pc,
-                        line: None,
-                        col: None,
-                        message: format!(
-                            "mroutine redirection cycle: entry {} redirects to entry {}, \
-                             which reaches entry {} again",
-                            entries[id], entries[j], entries[id]
-                        ),
-                    }),
-                    _ => {}
-                }
-            } else {
-                state[id] = 2;
-                stack.pop();
-            }
-        }
-    }
-    diags
 }
 
 #[cfg(test)]
@@ -927,22 +844,6 @@ mod tests {
     fn unresolvable_intercept_warns() {
         let d = lint("mintercept a0, a1\nmexit");
         assert!(has(&d, Check::Intercept, Level::Warn), "{d:?}");
-    }
-
-    #[test]
-    fn intercept_cycle_detected() {
-        // Routine 1 arms an intercept into entry 2 and vice versa.
-        let r1 = report("li t0, 0x23\nli t1, 5\nmintercept t0, t1\nmexit"); // -> entry 2
-        let r2 = report("li t0, 0x23\nli t1, 3\nmintercept t0, t1\nmexit"); // -> entry 1
-        let diags = cross_routine(&[(1, &r1), (2, &r2)]);
-        assert!(has(&diags, Check::Intercept, Level::Deny), "{diags:?}");
-    }
-
-    #[test]
-    fn intercept_unknown_target_warns() {
-        let r1 = report("li t0, 0x23\nli t1, 9\nmintercept t0, t1\nmexit"); // -> entry 4
-        let diags = cross_routine(&[(1, &r1)]);
-        assert!(has(&diags, Check::Intercept, Level::Warn), "{diags:?}");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!    unscrubbed (GPRs at `mexit`, stores to normal memory, CSRs);
 //! 5. **budget** — worst-case instruction count per mroutine, with
 //!    unbounded-loop detection;
-//! 6. **intercept** — `mintercept` redirection cycles and selectors
-//!    that capture the Metal opcode itself;
+//! 6. **intercept** — constant-folded `mintercept` arms: targets
+//!    outside the entry table and selectors that capture the Metal
+//!    opcode itself;
 //! 7. **structure** — control flow escaping the MRAM code window,
 //!    missing `mexit`, dead code, fallthrough off the segment.
 //!

@@ -21,7 +21,7 @@
 use metal_mem::devices::{map, Console, Timer};
 use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks};
 use metal_trace::{TraceConfig, TraceHandle};
-use metal_util::cli::{fail, parse_num, usage};
+use metal_util::cli::{fail, parse_num, parse_u32, usage};
 use std::process::ExitCode;
 
 const USAGE: &str = "msim image.bin [--engine pipeline|interp] [--base 0xADDR] [--entry 0xADDR] [--max-cycles N] [--perf] [--trace out.json] [--metrics out.json]";
@@ -52,12 +52,12 @@ fn main() -> ExitCode {
                 Some(name) => engine_name = name,
                 None => return usage("msim", USAGE, "missing argument to --engine"),
             },
-            "--base" => match args.next().and_then(|v| parse_num(&v)) {
-                Some(v) => base = v as u32,
+            "--base" => match args.next().and_then(|v| parse_u32(&v)) {
+                Some(v) => base = v,
                 None => return usage("msim", USAGE, "bad --base"),
             },
-            "--entry" => match args.next().and_then(|v| parse_num(&v)) {
-                Some(v) => entry = Some(v as u32),
+            "--entry" => match args.next().and_then(|v| parse_u32(&v)) {
+                Some(v) => entry = Some(v),
                 None => return usage("msim", USAGE, "bad --entry"),
             },
             "--max-cycles" => match args.next().and_then(|v| parse_num(&v)) {
@@ -192,7 +192,7 @@ fn run_sim<E: Engine<Hooks = NoHooks>>(opts: &Opts) -> ExitCode {
         eprintln!("msim: wrote trace to {path}");
     }
     if let Some(path) = &opts.metrics_path {
-        let snapshot = machine.metrics_snapshot();
+        let snapshot = machine.state().metrics_snapshot();
         if let Err(e) = std::fs::write(path, snapshot.to_json_string()) {
             eprintln!("msim: cannot write {path}: {e}");
             return ExitCode::FAILURE;

@@ -1,33 +1,34 @@
 //! The common interface over both execution engines.
 //!
-//! [`Core`] (cycle-accurate 5-stage pipeline) and [`Interp`] (functional
-//! reference) share [`MachineState`] and the [`Hooks`] extension
-//! interface but historically exposed separate inherent APIs, forcing
-//! every harness — tests, benches, the CLI — to duplicate its setup per
-//! engine. [`Engine`] is the shared surface: construct, load a program,
-//! run, inspect state and metrics. Code written against it (e.g.
-//! `msim --engine pipeline|interp`, the root-test harness in
-//! `tests/common/`) is engine-agnostic by construction.
+//! [`Core`](crate::Core) (cycle-accurate 5-stage pipeline) and
+//! [`Interp`](crate::Interp) (functional reference) share
+//! [`MachineState`] and the [`Hooks`] extension interface. [`Engine`]
+//! is their one surface: construct, load a program, run, inspect state,
+//! snapshot and restore. Each engine implements only what differs — its
+//! construction, accessors, PC, and one cycle of execution — and every
+//! way of driving an engine is a provided method written once over
+//! that cycle. Code written against it (e.g. `msim --engine
+//! pipeline|interp`, the root-test harness in `tests/common/`) is
+//! engine-agnostic by construction.
 //!
 //! The trait is statically dispatched (generic `load_segments` makes it
 //! non-object-safe), which is what the differential harnesses want:
-//! both engines fully monomorphized, no dynamic overhead in either.
+//! both engines fully monomorphized, so each provided loop calls its
+//! engine's `step` directly.
 
-use crate::func::Interp;
 use crate::hooks::Hooks;
-use crate::pipeline::Core;
 use crate::state::{CoreConfig, HaltReason, MachineSnapshot, MachineState};
-use metal_trace::MetricsSnapshot;
 
 /// A point-in-time copy of an engine: the machine state, the extension
 /// hooks, and the program counter. Taken with [`Engine::snapshot`] and
 /// applied with [`Engine::restore`].
 ///
 /// Restoring redirects execution via [`Engine::set_pc`], which clears
-/// any in-flight pipeline latches — so for the pipelined core a
-/// snapshot is only faithful when taken at a quiescent point (after
-/// reset, a halt, or `load_segments`, before `run`). The interpreter
-/// has no in-flight state and can snapshot anywhere.
+/// any in-flight pipeline latches — so a snapshot is only faithful at a
+/// quiescent point ([`Engine::is_quiescent`]), and `snapshot` refuses
+/// any other. The interpreter has no in-flight state and can snapshot
+/// anywhere; the pipelined core can after reset, a halt, or
+/// `load_segments`, before `run`.
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot<H: Hooks + Clone> {
     machine: MachineSnapshot,
@@ -40,6 +41,12 @@ const HANG_WINDOW: u64 = 100_000;
 
 /// A machine that can load and run guest programs: the pipelined core
 /// or the reference interpreter.
+///
+/// An engine supplies its construction, its state accessors, its PC,
+/// and one cycle of execution ([`Engine::step`]). Everything that
+/// drives an engine — loading, running to a cycle limit or a retired
+/// count, the watchdog, snapshot and restore — is written once here,
+/// over `step`.
 pub trait Engine: Sized {
     /// The extension-hook type this engine was built with.
     type Hooks: Hooks;
@@ -66,30 +73,56 @@ pub trait Engine: Sized {
     /// The next fetch address.
     fn pc(&self) -> u32;
 
-    /// Redirects execution to `pc`, clearing any in-flight work.
+    /// Redirects execution to `pc`, clearing any in-flight work
+    /// (including a pending `wfi`).
     fn set_pc(&mut self, pc: u32);
 
+    /// Advances the machine one cycle: one pipeline tick, or one
+    /// interpreter instruction (or trap). Counts the cycle in
+    /// `perf.cycles`; does nothing once the machine has halted.
+    fn step(&mut self);
+
+    /// True while the engine sleeps in `wfi`.
+    fn is_waiting(&self) -> bool;
+
+    /// True when the engine holds no in-flight microarchitectural
+    /// state, so a [`Engine::snapshot`] would be faithful.
+    fn is_quiescent(&self) -> bool;
+
+    /// Flips one bit of an occupied inter-stage latch (the fault
+    /// injector's latch site). Returns false when the latch is empty or
+    /// the engine has no pipeline: the fault is masked by construction.
+    fn inject_latch_bit(&mut self, _stage: u8, _bit: u8) -> bool {
+        false
+    }
+
     /// Loads program segments into RAM and points execution at `entry`.
-    /// Clears any previous halt and invalidates the decode cache.
+    /// Clears any previous halt and in-flight work, and invalidates the
+    /// decode cache.
     ///
     /// # Panics
     ///
-    /// Panics if a segment does not fit in RAM.
+    /// Panics if a segment does not fit in RAM (a build-setup error, not
+    /// a runtime condition).
     fn load_segments<'a>(
         &mut self,
         segments: impl IntoIterator<Item = (u32, &'a [u8])>,
         entry: u32,
-    );
+    ) {
+        self.state_mut().load_image(segments);
+        self.set_pc(entry);
+    }
 
-    /// Runs until the machine halts or `limit` cycles elapse (one per
-    /// interpreter step). Returns the halt reason if the machine stopped;
-    /// a guest that stops retiring is not detected here, it just runs
-    /// to `limit` and stays resumable (see [`Engine::run_fuel`]).
-    fn run(&mut self, limit: u64) -> Option<HaltReason>;
-
-    /// True while the engine sleeps in `wfi` (the interpreter never does).
-    fn is_waiting(&self) -> bool {
-        false
+    /// Runs until the machine halts or `limit` cycles elapse. Returns
+    /// the halt reason if the machine stopped; a guest that stops
+    /// retiring is not detected here, it just runs to `limit` and stays
+    /// resumable (see [`Engine::run_fuel`]).
+    fn run(&mut self, limit: u64) -> Option<HaltReason> {
+        let start = self.state().perf.cycles;
+        while self.state().halted.is_none() && self.state().perf.cycles - start < limit {
+            self.step();
+        }
+        self.state().halted.clone()
     }
 
     /// Runs under the watchdog, the one hang semantics of both engines:
@@ -122,28 +155,31 @@ pub trait Engine: Sized {
     /// Both engines agree on the meaning (retired-instruction count),
     /// so a harness can position either engine at the same
     /// architectural boundary — e.g. to inject a fault mid-run.
-    fn step_insns(&mut self, n: u64);
-
-    /// True when the engine holds no in-flight microarchitectural
-    /// state and a [`Engine::snapshot`] would be faithful. Always true
-    /// for the interpreter; the pipelined core requires all
-    /// inter-stage latches empty.
-    fn is_quiescent(&self) -> bool {
-        true
-    }
-
-    /// The unified metrics view of the machine state.
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.state().metrics_snapshot()
+    fn step_insns(&mut self, n: u64) {
+        let target = self.state().perf.instret + n;
+        while self.state().halted.is_none() && self.state().perf.instret < target {
+            self.step();
+        }
     }
 
     /// Captures machine state, hooks, and PC for a later
-    /// [`Engine::restore`]. See [`EngineSnapshot`] for the
-    /// quiescent-point caveat on the pipelined core.
+    /// [`Engine::restore`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the engine [`is_quiescent`](Engine::is_quiescent):
+    /// restore redirects execution via `set_pc`, which discards
+    /// in-flight work, so a snapshot with instructions in flight would
+    /// silently lose them on restore.
     fn snapshot(&self) -> EngineSnapshot<Self::Hooks>
     where
         Self::Hooks: Clone,
     {
+        assert!(
+            self.is_quiescent(),
+            "pipeline snapshot requires a quiescent core (no in-flight instructions); \
+             snapshot at reset, halt, or a step_insns boundary after the pipeline drains"
+        );
         EngineSnapshot {
             machine: self.state().snapshot(),
             hooks: self.hooks().clone(),
@@ -166,159 +202,72 @@ pub trait Engine: Sized {
     }
 }
 
-impl<H: Hooks> Engine for Core<H> {
-    type Hooks = H;
-
-    fn new(config: CoreConfig, hooks: H) -> Core<H> {
-        Core::new(config, hooks)
-    }
-
-    fn name() -> &'static str {
-        "pipeline"
-    }
-
-    fn state(&self) -> &MachineState {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut MachineState {
-        &mut self.state
-    }
-
-    fn hooks(&self) -> &H {
-        &self.hooks
-    }
-
-    fn hooks_mut(&mut self) -> &mut H {
-        &mut self.hooks
-    }
-
-    fn pc(&self) -> u32 {
-        self.fetch_pc()
-    }
-
-    fn set_pc(&mut self, pc: u32) {
-        Core::set_pc(self, pc);
-    }
-
-    fn load_segments<'a>(
-        &mut self,
-        segments: impl IntoIterator<Item = (u32, &'a [u8])>,
-        entry: u32,
-    ) {
-        Core::load_segments(self, segments, entry);
-    }
-
-    fn run(&mut self, limit: u64) -> Option<HaltReason> {
-        Core::run(self, limit)
-    }
-
-    fn step_insns(&mut self, n: u64) {
-        Core::step_insns(self, n);
-    }
-
-    fn is_waiting(&self) -> bool {
-        self.wfi
-    }
-
-    fn is_quiescent(&self) -> bool {
-        Core::is_quiescent(self)
-    }
-
-    /// Pipelined-core snapshots are only faithful at retired-instruction
-    /// boundaries: restore redirects fetch via `set_pc`, which discards
-    /// in-flight latches, so a mid-instruction snapshot would silently
-    /// lose work on restore. Enforce the precondition instead of
-    /// documenting it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any inter-stage latch is occupied or a stage is mid-way
-    /// through a multi-cycle access.
-    fn snapshot(&self) -> EngineSnapshot<H>
-    where
-        H: Clone,
-    {
-        assert!(
-            Core::is_quiescent(self),
-            "pipeline snapshot requires a quiescent core (no in-flight instructions); \
-             snapshot at reset, halt, or a step_insns boundary after the pipeline drains"
-        );
-        EngineSnapshot {
-            machine: self.state.snapshot(),
-            hooks: self.hooks.clone(),
-            pc: self.fetch_pc(),
-        }
-    }
-}
-
-impl<H: Hooks> Engine for Interp<H> {
-    type Hooks = H;
-
-    fn new(config: CoreConfig, hooks: H) -> Interp<H> {
-        Interp::new(config, hooks)
-    }
-
-    fn name() -> &'static str {
-        "interp"
-    }
-
-    fn state(&self) -> &MachineState {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut MachineState {
-        &mut self.state
-    }
-
-    fn hooks(&self) -> &H {
-        &self.hooks
-    }
-
-    fn hooks_mut(&mut self) -> &mut H {
-        &mut self.hooks
-    }
-
-    fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
-    fn load_segments<'a>(
-        &mut self,
-        segments: impl IntoIterator<Item = (u32, &'a [u8])>,
-        entry: u32,
-    ) {
-        Interp::load_segments(self, segments, entry);
-    }
-
-    fn run(&mut self, limit: u64) -> Option<HaltReason> {
-        Interp::run(self, limit)
-    }
-
-    fn step_insns(&mut self, n: u64) {
-        Interp::step_insns(self, n);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hooks::NoHooks;
+    use crate::{Core, Interp};
+    use metal_isa::Reg;
+
+    /// Loads `words` at 0 on a fresh engine of type `E`.
+    fn load<E: Engine<Hooks = NoHooks>>(words: &[u32]) -> E {
+        let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut engine = E::new(CoreConfig::default(), NoHooks);
+        engine.load_segments([(0u32, image.as_slice())], 0);
+        engine
+    }
 
     /// The same generic driver runs either engine — the deduplication
     /// the trait exists for.
     fn run_countdown<E: Engine<Hooks = NoHooks>>() -> (u32, Option<HaltReason>) {
         // li a0, 5; loop: addi a0, a0, -1; bnez a0, loop; ebreak
-        let words: [u32; 4] = [0x0050_0513, 0xFFF5_0513, 0xFE05_1EE3, 0x0010_0073];
-        let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut engine = E::new(CoreConfig::default(), NoHooks);
-        engine.load_segments([(0u32, image.as_slice())], 0);
+        let mut engine = load::<E>(&[0x0050_0513, 0xFFF5_0513, 0xFE05_1EE3, 0x0010_0073]);
         let halt = engine.run(10_000);
-        (engine.state().regs.get(metal_isa::Reg::A0), halt)
+        (engine.state().regs.get(Reg::A0), halt)
+    }
+
+    /// `run` counts cycles on both engines: a limit that does not halt
+    /// spends exactly that many, split runs end where one run does, and
+    /// `step_insns` retires exactly what it is asked for.
+    fn check_run_limits<E: Engine<Hooks = NoHooks>>() {
+        // li a0, 1000; loop: addi a1, a1, 3; addi a0, a0, -1; bnez a0, loop; ebreak
+        let words = [
+            0x3E80_0513,
+            0x0035_8593,
+            0xFFF5_0513,
+            0xFE05_1CE3,
+            0x0010_0073,
+        ];
+        let observe = |e: &E| {
+            let s = e.state();
+            (
+                s.perf.cycles,
+                s.perf.instret,
+                e.pc(),
+                s.regs.get(Reg::A0),
+                s.regs.get(Reg::A1),
+            )
+        };
+
+        let mut whole = load::<E>(&words);
+        assert_eq!(
+            whole.run(700),
+            None,
+            "{}: the loop outlasts the limit",
+            E::name()
+        );
+        assert_eq!(whole.state().perf.cycles, 700, "{}", E::name());
+
+        let mut split = load::<E>(&words);
+        assert_eq!(split.run(213), None);
+        assert_eq!(split.state().perf.cycles, 213, "{}", E::name());
+        assert_eq!(split.run(487), None);
+        assert_eq!(observe(&split), observe(&whole), "{}", E::name());
+
+        let retired = whole.state().perf.instret;
+        whole.step_insns(37);
+        assert_eq!(whole.state().perf.instret, retired + 37, "{}", E::name());
+        assert!(whole.state().halted.is_none());
     }
 
     #[test]
@@ -331,5 +280,7 @@ mod tests {
         assert_eq!(core_a0, interp_a0);
         assert_eq!(Core::<NoHooks>::name(), "pipeline");
         assert_eq!(Interp::<NoHooks>::name(), "interp");
+        check_run_limits::<Core<NoHooks>>();
+        check_run_limits::<Interp<NoHooks>>();
     }
 }

@@ -5,6 +5,7 @@
 //! so the two can run the same program side by side; the differential
 //! property tests assert architectural-state equality.
 
+use crate::engine::Engine;
 use crate::hooks::{resolve_decode, DecodeStage, Hooks, NoHooks};
 use crate::state::{CoreConfig, HaltReason, MachineState};
 use crate::trap::{Trap, TrapCause};
@@ -19,13 +20,13 @@ pub struct Interp<H: Hooks = NoHooks> {
     /// Extension hooks.
     pub hooks: H,
     /// Architectural PC.
-    pub pc: u32,
+    pc: u32,
 }
 
-impl<H: Hooks> Interp<H> {
-    /// Builds an interpreter with the given configuration and hooks.
-    #[must_use]
-    pub fn new(config: CoreConfig, hooks: H) -> Interp<H> {
+impl<H: Hooks> Engine for Interp<H> {
+    type Hooks = H;
+
+    fn new(config: CoreConfig, hooks: H) -> Interp<H> {
         Interp {
             state: MachineState::new(&config),
             hooks,
@@ -33,28 +34,36 @@ impl<H: Hooks> Interp<H> {
         }
     }
 
-    /// Loads program segments into RAM and sets the PC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a segment does not fit in RAM.
-    pub fn load_segments<'a>(
-        &mut self,
-        segments: impl IntoIterator<Item = (u32, &'a [u8])>,
-        entry: u32,
-    ) {
-        self.state.load_image(segments);
-        self.pc = entry;
+    fn name() -> &'static str {
+        "interp"
     }
 
-    fn handle_trap(&mut self, trap: Trap, pc: u32) {
-        if let Some((target, _)) = self.state.enter_trap(&mut self.hooks, trap, pc) {
-            self.pc = target;
-        }
+    fn state(&self) -> &MachineState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut MachineState {
+        &mut self.state
+    }
+
+    fn hooks(&self) -> &H {
+        &self.hooks
+    }
+
+    fn hooks_mut(&mut self) -> &mut H {
+        &mut self.hooks
+    }
+
+    fn pc(&self) -> u32 {
+        self.pc
+    }
+
+    fn set_pc(&mut self, pc: u32) {
+        self.pc = pc;
     }
 
     /// Executes one instruction (or takes one trap).
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         if self.state.halted.is_some() {
             return;
         }
@@ -78,6 +87,24 @@ impl<H: Hooks> Interp<H> {
             Err(trap) => return self.handle_trap(trap, pc),
         };
         resolve_decode(self, pc, decoded);
+    }
+
+    /// The interpreter treats `wfi` as a NOP, so it never sleeps.
+    fn is_waiting(&self) -> bool {
+        false
+    }
+
+    /// The interpreter has no in-flight state: every point is quiescent.
+    fn is_quiescent(&self) -> bool {
+        true
+    }
+}
+
+impl<H: Hooks> Interp<H> {
+    fn handle_trap(&mut self, trap: Trap, pc: u32) {
+        if let Some((target, _)) = self.state.enter_trap(&mut self.hooks, trap, pc) {
+            self.pc = target;
+        }
     }
 
     fn exec(&mut self, pc: u32, word: u32, insn: Insn) {
@@ -210,27 +237,6 @@ impl<H: Hooks> Interp<H> {
         self.state.perf.instret += 1;
         self.hooks.on_retire(&mut self.state, pc, &insn);
         self.pc = next;
-    }
-
-    /// Steps until halt or `max_steps` instructions/traps.
-    pub fn run(&mut self, max_steps: u64) -> Option<HaltReason> {
-        for _ in 0..max_steps {
-            if self.state.halted.is_some() {
-                break;
-            }
-            self.step();
-        }
-        self.state.halted.clone()
-    }
-
-    /// Runs until `instret` increases by `n` or the machine halts.
-    /// Mirrors [`crate::Core::step_insns`] so injection harnesses can
-    /// position both engines at the same retired-instruction boundary.
-    pub fn step_insns(&mut self, n: u64) {
-        let target = self.state.perf.instret + n;
-        while self.state.halted.is_none() && self.state.perf.instret < target {
-            self.step();
-        }
     }
 }
 

@@ -21,6 +21,7 @@
 //!   redirected with *zero* bubbles when the replacement source is
 //!   1-cycle (MRAM).
 
+use crate::engine::Engine;
 use crate::hooks::{resolve_decode, DecodeStage, Hooks};
 use crate::state::{CoreConfig, HaltReason, MachineState};
 use crate::trap::{Trap, TrapCause};
@@ -130,13 +131,13 @@ pub struct Core<H: Hooks> {
     id_ex: Stage<Slot>,
     ex_mem: Stage<ExMem>,
     mem_wb: Stage<MemWb>,
-    pub(crate) wfi: bool,
+    wfi: bool,
 }
 
-impl<H: Hooks> Core<H> {
-    /// Builds a core with the given configuration and hooks.
-    #[must_use]
-    pub fn new(config: CoreConfig, hooks: H) -> Core<H> {
+impl<H: Hooks> Engine for Core<H> {
+    type Hooks = H;
+
+    fn new(config: CoreConfig, hooks: H) -> Core<H> {
         Core {
             state: MachineState::new(&config),
             hooks,
@@ -150,21 +151,31 @@ impl<H: Hooks> Core<H> {
         }
     }
 
-    /// The configuration this core was built with.
-    #[must_use]
-    pub fn config(&self) -> &CoreConfig {
-        &self.config
+    fn name() -> &'static str {
+        "pipeline"
     }
 
-    /// The next fetch address (useful in tests and after halts).
-    #[must_use]
-    pub fn fetch_pc(&self) -> u32 {
+    fn state(&self) -> &MachineState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut MachineState {
+        &mut self.state
+    }
+
+    fn hooks(&self) -> &H {
+        &self.hooks
+    }
+
+    fn hooks_mut(&mut self) -> &mut H {
+        &mut self.hooks
+    }
+
+    fn pc(&self) -> u32 {
         self.pc
     }
 
-    /// Redirects fetch (used by loaders and test harnesses). Clears all
-    /// in-flight instructions.
-    pub fn set_pc(&mut self, pc: u32) {
+    fn set_pc(&mut self, pc: u32) {
         self.pc = pc;
         self.if_id = Stage::EMPTY;
         self.id_ex = Stage::EMPTY;
@@ -173,45 +184,8 @@ impl<H: Hooks> Core<H> {
         self.wfi = false;
     }
 
-    /// Redirects fetch from EX or a trap, squashing IF and ID.
-    fn flush_for_redirect(&mut self, target: u32) {
-        self.pc = target;
-        self.if_id = Stage::EMPTY;
-        self.id_ex = Stage::EMPTY;
-        self.state.perf.flush_cycles += 2;
-        self.state.trace.emit(EventKind::Flush { target });
-    }
-
-    /// Takes a trap whose faulting/interrupted PC is `pc`.
-    fn take_trap(&mut self, trap: Trap, pc: u32) {
-        match self.state.enter_trap(&mut self.hooks, trap, pc) {
-            Some((target, stall)) => {
-                self.flush_for_redirect(target);
-                // ID counts the delegation stall down with an empty latch.
-                self.id_ex.hold(stall, &self.state.trace, StallKind::Decode);
-            }
-            None => {
-                // Squash everything younger than the trap point.
-                self.if_id = Stage::EMPTY;
-                self.id_ex.latch = None;
-            }
-        }
-    }
-
-    /// Forwards a register read at EX: the youngest completed value wins
-    /// (MEM/WB latch, then the register file).
-    fn forward(&self, r: Reg) -> u32 {
-        if r == Reg::ZERO {
-            return 0;
-        }
-        match &self.mem_wb.latch {
-            Some(wb) if wb.rd == Some(r) => wb.value,
-            _ => self.state.regs.get(r),
-        }
-    }
-
-    /// Advances the machine one cycle.
-    pub fn tick(&mut self) {
+    /// One pipeline tick: WB, MEM, EX, ID, IF, oldest first.
+    fn step(&mut self) {
         if self.state.halted.is_some() {
             return;
         }
@@ -287,6 +261,107 @@ impl<H: Hooks> Core<H> {
         // ---------------- IF ----------------
         if !flushed {
             self.run_if();
+        }
+    }
+
+    fn is_waiting(&self) -> bool {
+        self.wfi
+    }
+
+    /// True when no live instruction is in flight: every inter-stage
+    /// latch is empty and no stage is mid-way through a multi-cycle
+    /// access. A halted core always qualifies — anything still latched
+    /// behind the halting instruction is abandoned, never resumed, and
+    /// invisible to a snapshot/restore cycle. Snapshots of the
+    /// pipelined core are only faithful at such points (see
+    /// [`crate::engine::EngineSnapshot`]).
+    fn is_quiescent(&self) -> bool {
+        self.state.halted.is_some()
+            || self.if_id.is_empty()
+                && self.id_ex.is_empty()
+                && self.ex_mem.is_empty()
+                && self.mem_wb.is_empty()
+    }
+
+    /// Flips one bit in an occupied inter-stage latch (fault-injection
+    /// harness), including a latch whose producing stage is still busy
+    /// (a multi-cycle fetch, decode stall, mul/div or data access).
+    /// `stage`: 0 = IF/ID, 1 = ID/EX, 2 = EX/MEM, 3 = MEM/WB. Bits 0–31
+    /// hit the in-flight instruction word (IF/ID, ID/EX, which
+    /// re-decode) or the latched data word (EX/MEM: the load/store
+    /// address or the result to write back; MEM/WB: the writeback
+    /// value); bits 32–63 hit the latched PC. Returns `false` when the
+    /// latch is empty — an injection into a bubble is architecturally
+    /// masked by construction.
+    fn inject_latch_bit(&mut self, stage: u8, bit: u8) -> bool {
+        let mask = 1u32 << (bit & 31);
+        let on_pc = bit & 32 != 0;
+        let flip = |pc: &mut u32, word: &mut u32| *if on_pc { pc } else { word } ^= mask;
+        match stage & 3 {
+            0 | 1 => {
+                let stage = if stage & 3 == 0 {
+                    &mut self.if_id
+                } else {
+                    &mut self.id_ex
+                };
+                stage.latch.as_mut().map(|l| {
+                    if on_pc {
+                        l.pc ^= mask;
+                    } else {
+                        l.decoded = decode_to(l.decoded.word ^ mask);
+                    }
+                })
+            }
+            2 => self
+                .ex_mem
+                .latch
+                .as_mut()
+                .map(|l| flip(&mut l.pc, &mut l.value)),
+            _ => self
+                .mem_wb
+                .latch
+                .as_mut()
+                .map(|l| flip(&mut l.pc, &mut l.value)),
+        }
+        .is_some()
+    }
+}
+
+impl<H: Hooks> Core<H> {
+    /// Redirects fetch from EX or a trap, squashing IF and ID.
+    fn flush_for_redirect(&mut self, target: u32) {
+        self.pc = target;
+        self.if_id = Stage::EMPTY;
+        self.id_ex = Stage::EMPTY;
+        self.state.perf.flush_cycles += 2;
+        self.state.trace.emit(EventKind::Flush { target });
+    }
+
+    /// Takes a trap whose faulting/interrupted PC is `pc`.
+    fn take_trap(&mut self, trap: Trap, pc: u32) {
+        match self.state.enter_trap(&mut self.hooks, trap, pc) {
+            Some((target, stall)) => {
+                self.flush_for_redirect(target);
+                // ID counts the delegation stall down with an empty latch.
+                self.id_ex.hold(stall, &self.state.trace, StallKind::Decode);
+            }
+            None => {
+                // Squash everything younger than the trap point.
+                self.if_id = Stage::EMPTY;
+                self.id_ex.latch = None;
+            }
+        }
+    }
+
+    /// Forwards a register read at EX: the youngest completed value wins
+    /// (MEM/WB latch, then the register file).
+    fn forward(&self, r: Reg) -> u32 {
+        if r == Reg::ZERO {
+            return 0;
+        }
+        match &self.mem_wb.latch {
+            Some(wb) if wb.rd == Some(r) => wb.value,
+            _ => self.state.regs.get(r),
         }
     }
 
@@ -571,83 +646,6 @@ impl<H: Hooks> Core<H> {
             }
         }
     }
-
-    /// Runs until the machine halts or `max_cycles` elapse. Returns the
-    /// halt reason if the machine stopped.
-    pub fn run(&mut self, max_cycles: u64) -> Option<HaltReason> {
-        let start = self.state.perf.cycles;
-        while self.state.halted.is_none() && self.state.perf.cycles - start < max_cycles {
-            self.tick();
-        }
-        self.state.halted.clone()
-    }
-
-    /// Runs until `instret` increases by `n` or the machine halts.
-    pub fn step_insns(&mut self, n: u64) {
-        let target = self.state.perf.instret + n;
-        while self.state.halted.is_none() && self.state.perf.instret < target {
-            self.tick();
-        }
-    }
-
-    /// True when no live instruction is in flight: every inter-stage
-    /// latch is empty and no stage is mid-way through a multi-cycle
-    /// access. A halted core always qualifies — anything still latched
-    /// behind the halting instruction is abandoned, never resumed, and
-    /// invisible to a snapshot/restore cycle. Snapshots of the
-    /// pipelined core are only faithful at such points (see
-    /// [`crate::engine::EngineSnapshot`]).
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.state.halted.is_some()
-            || self.if_id.is_empty()
-                && self.id_ex.is_empty()
-                && self.ex_mem.is_empty()
-                && self.mem_wb.is_empty()
-    }
-
-    /// Flips one bit in an occupied inter-stage latch (fault-injection
-    /// harness), including a latch whose producing stage is still busy
-    /// (a multi-cycle fetch, decode stall, mul/div or data access).
-    /// `stage`: 0 = IF/ID, 1 = ID/EX, 2 = EX/MEM, 3 = MEM/WB. Bits 0–31
-    /// hit the in-flight instruction word (IF/ID, ID/EX, which
-    /// re-decode) or the latched data word (EX/MEM: the load/store
-    /// address or the result to write back; MEM/WB: the writeback
-    /// value); bits 32–63 hit the latched PC. Returns `false` when the
-    /// latch is empty — an injection into a bubble is architecturally
-    /// masked by construction.
-    pub fn inject_latch_bit(&mut self, stage: u8, bit: u8) -> bool {
-        let mask = 1u32 << (bit & 31);
-        let on_pc = bit & 32 != 0;
-        let flip = |pc: &mut u32, word: &mut u32| *if on_pc { pc } else { word } ^= mask;
-        match stage & 3 {
-            0 | 1 => {
-                let stage = if stage & 3 == 0 {
-                    &mut self.if_id
-                } else {
-                    &mut self.id_ex
-                };
-                stage.latch.as_mut().map(|l| {
-                    if on_pc {
-                        l.pc ^= mask;
-                    } else {
-                        l.decoded = decode_to(l.decoded.word ^ mask);
-                    }
-                })
-            }
-            2 => self
-                .ex_mem
-                .latch
-                .as_mut()
-                .map(|l| flip(&mut l.pc, &mut l.value)),
-            _ => self
-                .mem_wb
-                .latch
-                .as_mut()
-                .map(|l| flip(&mut l.pc, &mut l.value)),
-        }
-        .is_some()
-    }
 }
 
 impl<H: Hooks> DecodeStage<H> for Core<H> {
@@ -680,26 +678,5 @@ impl<H: Hooks> DecodeStage<H> for Core<H> {
             decoded,
             fault: Some(trap),
         });
-    }
-}
-
-impl<H: Hooks> Core<H> {
-    /// Loads program segments into RAM and points fetch at `entry`.
-    ///
-    /// All in-flight pipeline state (including a pending WFI) and any
-    /// previous halt are cleared: the core is ready to `run` the new
-    /// program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a segment does not fit in RAM (a build-setup error, not
-    /// a runtime condition).
-    pub fn load_segments<'a>(
-        &mut self,
-        segments: impl IntoIterator<Item = (u32, &'a [u8])>,
-        entry: u32,
-    ) {
-        self.state.load_image(segments);
-        self.set_pc(entry);
     }
 }

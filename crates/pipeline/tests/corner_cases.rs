@@ -5,7 +5,7 @@ use metal_asm::assemble_at;
 use metal_isa::reg::Reg;
 use metal_mem::devices::{map, Timer};
 use metal_mem::CacheConfig;
-use metal_pipeline::{Core, CoreConfig, HaltReason, NoHooks, TrapCause};
+use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, NoHooks, TrapCause};
 
 fn perfect() -> CacheConfig {
     CacheConfig {

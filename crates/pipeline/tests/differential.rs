@@ -12,7 +12,7 @@ use metal_isa::encode;
 use metal_isa::insn::{AluOp, Cond, Insn, LoadOp, MulOp, StoreOp};
 use metal_isa::reg::Reg;
 use metal_mem::CacheConfig;
-use metal_pipeline::{Core, CoreConfig, Interp, NoHooks};
+use metal_pipeline::{Core, CoreConfig, Engine, Interp, NoHooks};
 use metal_util::Rng;
 
 const DATA_BASE: u32 = 0x8000;

@@ -410,10 +410,10 @@ fn trap_loop_without_retirement_times_out_on_both_engines() {
 /// `ticks`. Returns whether the flip landed and how the run halted.
 fn mul_with_ex_mem_flip(ticks: u32) -> (bool, Option<HaltReason>) {
     let mut core = ideal_core();
-    assert_eq!(core.config().mul_latency, 2);
+    assert_eq!(CoreConfig::default().mul_latency, 2);
     load_asm(&mut core, "li a1, 3\n li a2, 5\n mul a0, a1, a2\n ebreak");
     for _ in 0..ticks {
-        core.tick();
+        core.step();
     }
     let applied = core.inject_latch_bit(2, 0);
     (applied, core.run(1_000))
@@ -439,7 +439,7 @@ fn division_latency_charged() {
     assert_eq!(slow.state.regs.get(Reg::A2), 14);
     assert_eq!(
         slow.state.perf.cycles,
-        fast.state.perf.cycles + u64::from(slow.config().div_latency),
+        fast.state.perf.cycles + u64::from(CoreConfig::default().div_latency),
         "div should cost its configured extra latency"
     );
 }

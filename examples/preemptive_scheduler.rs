@@ -14,7 +14,7 @@ use metal_ext::sched::{self, asid_of, write_pcb};
 use metal_mem::devices::{map, Timer};
 use metal_mem::tlb::Pte;
 use metal_pipeline::state::{CoreConfig, TranslationMode};
-use metal_pipeline::HaltReason;
+use metal_pipeline::{Engine, HaltReason};
 
 const CODE_VA: u32 = 0x1_0000;
 const DATA_VA: u32 = 0x2_0000;

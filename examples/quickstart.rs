@@ -10,7 +10,7 @@
 
 use metal_core::MetalBuilder;
 use metal_pipeline::state::CoreConfig;
-use metal_pipeline::HaltReason;
+use metal_pipeline::{Engine, HaltReason};
 
 /// A popcount "instruction": a0 = number of set bits in a0.
 /// Clobbers t0/t1 (documented ABI of this custom instruction).

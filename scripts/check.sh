@@ -38,6 +38,28 @@ for f in examples/mcode/*.s; do
     target/release/mlint --deny-warnings "$f"
 done
 
+echo "==> msim smoke (both engines, address range)"
+# A two-instruction image exits with its ebreak code on either engine,
+# and an address beyond 32 bits gets the usage error (exit 1) instead
+# of being truncated to one that runs.
+out=$(mktemp -d)
+printf 'li a0, 42\nebreak\n' > "$out/t.s"
+target/release/masm "$out/t.s" -o "$out/t.bin"
+expect_exit() {
+    local want=$1 status=0
+    shift
+    target/release/msim "$out/t.bin" "$@" 2> /dev/null || status=$?
+    if [[ $status != "$want" ]]; then
+        echo "msim $* exited $status, expected $want"
+        exit 1
+    fi
+}
+expect_exit 42 --engine pipeline
+expect_exit 42 --engine interp
+expect_exit 1 --base 0x100000000
+expect_exit 1 --entry 0x100000000
+rm -r "$out"
+
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     echo "==> perfbench against HEAD (CHECK_BENCH=1)"
     # Ten alternating pairs per workload; any end-to-end metric worse

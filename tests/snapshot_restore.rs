@@ -40,7 +40,7 @@ fn run_and_record<E: Engine<Hooks = Metal>>(engine: &mut E, limit: u64) -> RunRe
     RunRecord {
         halt,
         state: arch::digest(Machine::of(engine), arch::ALL),
-        metrics: engine.metrics_snapshot(),
+        metrics: engine.state().metrics_snapshot(),
         events: engine.state().trace.events(),
     }
 }

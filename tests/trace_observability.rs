@@ -12,7 +12,7 @@
 use metal_core::{Metal, MetalBuilder};
 use metal_isa::reg::Reg;
 use metal_pipeline::state::CoreConfig;
-use metal_pipeline::Core;
+use metal_pipeline::{Core, Engine};
 use metal_trace::{Detail, TraceConfig, TraceHandle};
 use metal_util::{Json, Rng};
 
