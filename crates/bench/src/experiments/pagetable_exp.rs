@@ -33,7 +33,6 @@ const DATA_VA: u32 = 0x10_0000;
 fn tlb_config() -> TlbConfig {
     TlbConfig {
         entries: 8, // far smaller than the working set: every touch misses
-        keys: 16,
     }
 }
 
@@ -198,7 +197,7 @@ pub fn report() -> String {
     let _ = writeln!(out, "{:<12} {:>12}", "entries", "cyc/touch");
     for entries in [4usize, 8, 16, 32, 64] {
         let mut config = core_config();
-        config.tlb = TlbConfig { entries, keys: 16 };
+        config.tlb = TlbConfig { entries };
         let mut core: Core<Metal> = pagetable::install(MetalBuilder::new())
             .build_core(config)
             .unwrap();

@@ -13,13 +13,11 @@ pub fn std_config() -> CoreConfig {
         icache: CacheConfig {
             size_bytes: 4 * 1024,
             line_bytes: 32,
-            hit_latency: 1,
             miss_penalty: 15,
         },
         dcache: CacheConfig {
             size_bytes: 4 * 1024,
             line_bytes: 32,
-            hit_latency: 1,
             miss_penalty: 15,
         },
         ram_bytes: 16 << 20,

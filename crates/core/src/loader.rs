@@ -11,18 +11,18 @@
 //! security and reliability by eliminating potential resource exhaustion
 //! and simplifying mroutine verification." (paper §2.1) Verification is
 //! `metal-lint` over the routine's words. By default it runs
-//! [`CheckSet::install`]: privilege (environment instructions, illegal
+//! [`Battery::Install`]: privilege (environment instructions, illegal
 //! words, nested `menter`) and structure (window escapes, `jalr`,
 //! `ebreak`, missing `mexit`). [`MetalBuilder::require_lint_clean`]
-//! runs [`CheckSet::all`], the full dataflow battery (bounds, retaddr,
-//! leak, budget, intercept). Any denial refuses the install; warnings
-//! are returned with the build.
+//! runs [`Battery::Full`], which adds dead code and the dataflow
+//! battery (bounds, retaddr, leak, budget, intercept). Any denial
+//! refuses the install; warnings are returned with the build.
 
 use crate::ecc::EccMode;
 use crate::metal::{DispatchStyle, Metal, MetalConfig};
 use crate::MetalError;
 use metal_asm::assemble_at;
-use metal_lint::{has_denials, lint_words, CheckSet, Diagnostic, LintConfig};
+use metal_lint::{has_denials, lint_words, Battery, Diagnostic, LintConfig};
 use metal_pipeline::state::CoreConfig;
 use metal_pipeline::trap::TrapCause;
 use metal_pipeline::{Core, Engine};
@@ -31,23 +31,12 @@ use metal_pipeline::{Core, Engine};
 /// image PALcode dispatch needs, and accumulated verifier warnings.
 pub type BuildOutput = (Metal, Vec<(u32, Vec<u8>)>, Vec<(String, Diagnostic)>);
 
-/// A delegation request recorded before build.
+/// A delegation request recorded before build, for layer 0.
 #[derive(Clone, Debug)]
 enum Delegation {
-    Exception {
-        layer: usize,
-        cause: TrapCause,
-        entry: u8,
-    },
-    AllExceptions {
-        layer: usize,
-        entry: u8,
-    },
-    Interrupt {
-        layer: usize,
-        line: u8,
-        entry: u8,
-    },
+    Exception { cause: TrapCause, entry: u8 },
+    AllExceptions { entry: u8 },
+    Interrupt { line: u8, entry: u8 },
 }
 
 /// Builder for a Metal-enabled machine.
@@ -134,45 +123,23 @@ impl MetalBuilder {
 
     /// Delegates an exception cause to an entry (layer 0).
     #[must_use]
-    pub fn delegate_exception(self, cause: TrapCause, entry: u8) -> MetalBuilder {
-        self.delegate_exception_on(0, cause, entry)
-    }
-
-    /// Delegates an exception cause to an entry on a specific layer.
-    #[must_use]
-    pub fn delegate_exception_on(
-        mut self,
-        layer: usize,
-        cause: TrapCause,
-        entry: u8,
-    ) -> MetalBuilder {
-        self.delegations.push(Delegation::Exception {
-            layer,
-            cause,
-            entry,
-        });
+    pub fn delegate_exception(mut self, cause: TrapCause, entry: u8) -> MetalBuilder {
+        self.delegations
+            .push(Delegation::Exception { cause, entry });
         self
     }
 
     /// Delegates all otherwise-unhandled exceptions to an entry (layer 0).
     #[must_use]
     pub fn delegate_all_exceptions(mut self, entry: u8) -> MetalBuilder {
-        self.delegations
-            .push(Delegation::AllExceptions { layer: 0, entry });
+        self.delegations.push(Delegation::AllExceptions { entry });
         self
     }
 
     /// Delegates an interrupt line to an entry (layer 0).
     #[must_use]
-    pub fn delegate_interrupt(self, line: u8, entry: u8) -> MetalBuilder {
-        self.delegate_interrupt_on(0, line, entry)
-    }
-
-    /// Delegates an interrupt line to an entry on a specific layer.
-    #[must_use]
-    pub fn delegate_interrupt_on(mut self, layer: usize, line: u8, entry: u8) -> MetalBuilder {
-        self.delegations
-            .push(Delegation::Interrupt { layer, line, entry });
+    pub fn delegate_interrupt(mut self, line: u8, entry: u8) -> MetalBuilder {
+        self.delegations.push(Delegation::Interrupt { line, entry });
         self
     }
 
@@ -194,10 +161,10 @@ impl MetalBuilder {
                     window: Some(self.config.code_window()),
                     data_bytes: self.config.mram.data_bytes,
                     nested_allowed: self.config.layers > 1,
-                    checks: if self.lint_clean {
-                        CheckSet::all()
+                    battery: if self.lint_clean {
+                        Battery::Full
                     } else {
-                        CheckSet::install()
+                        Battery::Install
                     },
                     ..LintConfig::mroutine(base)
                 },
@@ -215,25 +182,12 @@ impl MetalBuilder {
                 palcode_image.push((base, bytes));
             }
         }
+        let map = &mut metal.layers[0].delegation;
         for d in &self.delegations {
             match *d {
-                Delegation::Exception {
-                    layer,
-                    cause,
-                    entry,
-                } => metal.layers[layer]
-                    .delegation
-                    .delegate_exception(cause, entry)?,
-                Delegation::AllExceptions { layer, entry } => {
-                    metal.layers[layer]
-                        .delegation
-                        .delegate_all_exceptions(entry)?;
-                }
-                Delegation::Interrupt { layer, line, entry } => {
-                    metal.layers[layer]
-                        .delegation
-                        .delegate_interrupt(line, entry)?;
-                }
+                Delegation::Exception { cause, entry } => map.delegate_exception(cause, entry)?,
+                Delegation::AllExceptions { entry } => map.delegate_all_exceptions(entry)?,
+                Delegation::Interrupt { line, entry } => map.delegate_interrupt(line, entry)?,
             }
         }
         Ok((metal, palcode_image, warnings))
@@ -406,7 +360,7 @@ mod tests {
             words,
             &LintConfig {
                 nested_allowed,
-                checks: CheckSet::install(),
+                battery: Battery::Install,
                 ..LintConfig::mroutine(base)
             },
         )

@@ -54,6 +54,10 @@ pub enum DispatchStyle {
     },
 }
 
+/// Extra dispatch cycles charged for a PALcode-style entry (the
+/// pipeline drain on the Alpha).
+const PALCODE_DRAIN: u32 = 2;
+
 /// Metal configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MetalConfig {
@@ -67,9 +71,6 @@ pub struct MetalConfig {
     pub decode_replacement: bool,
     /// Number of nested-Metal layers (1 = the base design).
     pub layers: usize,
-    /// Extra dispatch cycles charged for PALcode-style entry (pipeline
-    /// drain on the Alpha).
-    pub palcode_drain: u32,
     /// Check-bit scheme protecting MRAM words and the Metal register
     /// file. Detected errors raise [`TrapCause::MachineCheck`].
     pub ecc: EccMode,
@@ -95,7 +96,6 @@ impl Default for MetalConfig {
             dispatch: DispatchStyle::Mram,
             decode_replacement: true,
             layers: 1,
-            palcode_drain: 2,
             ecc: EccMode::None,
         }
     }
@@ -363,7 +363,7 @@ impl Metal {
             .unwrap_or(Err(Trap::new(TrapCause::InsnAccessFault, pc)))?;
         let mut stall = latency.saturating_sub(1);
         if let DispatchStyle::Palcode { .. } = self.config.dispatch {
-            stall += self.config.palcode_drain; // pipeline drain, as on the Alpha
+            stall += PALCODE_DRAIN;
         }
         if !self.config.decode_replacement {
             stall += 2; // full redirect instead of in-slot replacement
@@ -666,7 +666,7 @@ impl Hooks for Metal {
         // fetch; charge only the non-MRAM penalty.
         let stall = match self.config.dispatch {
             DispatchStyle::Mram => 0,
-            DispatchStyle::Palcode { .. } => self.config.palcode_drain,
+            DispatchStyle::Palcode { .. } => PALCODE_DRAIN,
         };
         TrapDisposition::Redirect { target: pc, stall }
     }

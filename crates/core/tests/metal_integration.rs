@@ -14,7 +14,6 @@ fn perfect_cache() -> CacheConfig {
     CacheConfig {
         size_bytes: 64 * 1024,
         line_bytes: 32,
-        hit_latency: 1,
         miss_penalty: 0,
     }
 }
@@ -459,7 +458,6 @@ fn palcode_dispatch_costs_many_cycles() {
         icache: CacheConfig {
             size_bytes: 4 * 1024,
             line_bytes: 32,
-            hit_latency: 1,
             miss_penalty: 15,
         },
         dcache: perfect_cache(),
@@ -480,7 +478,6 @@ fn palcode_dispatch_costs_many_cycles() {
             icache: CacheConfig {
                 size_bytes: 4 * 1024,
                 line_bytes: 32,
-                hit_latency: 1,
                 miss_penalty: 15,
             },
             dcache: perfect_cache(),

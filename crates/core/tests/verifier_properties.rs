@@ -6,7 +6,7 @@ use metal_core::mram::MRAM_BASE;
 use metal_isa::insn::{AluOp, Cond, Insn};
 use metal_isa::reg::Reg;
 use metal_isa::{decode, encode};
-use metal_lint::{has_denials, lint_words, CheckSet, Diagnostic, Level, LintConfig};
+use metal_lint::{has_denials, lint_words, Battery, Diagnostic, Level, LintConfig};
 use metal_util::Rng;
 
 /// The install check set on the default MRAM geometry (a 16 KiB code
@@ -16,7 +16,7 @@ fn verify_routine(words: &[u32], nested_allowed: bool) -> Vec<Diagnostic> {
         words,
         &LintConfig {
             nested_allowed,
-            checks: CheckSet::install(),
+            battery: Battery::Install,
             ..LintConfig::mroutine(MRAM_BASE)
         },
     )

@@ -192,10 +192,7 @@ mod tests {
         let mut core = install(MetalBuilder::new())
             .build_core(CoreConfig {
                 ram_bytes: 8 << 20,
-                tlb: metal_mem::TlbConfig {
-                    entries: 64,
-                    keys: 16,
-                },
+                tlb: metal_mem::TlbConfig { entries: 64 },
                 ..CoreConfig::default()
             })
             .unwrap();

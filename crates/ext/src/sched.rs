@@ -212,10 +212,7 @@ mod tests {
     fn setup() -> Core<metal_core::Metal> {
         let mut core = install(MetalBuilder::new())
             .build_core(CoreConfig {
-                tlb: metal_mem::TlbConfig {
-                    entries: 64,
-                    keys: 16,
-                },
+                tlb: metal_mem::TlbConfig { entries: 64 },
                 ..CoreConfig::default()
             })
             .unwrap();

@@ -9,7 +9,7 @@
 
 use metal_core::EccMode;
 use metal_faultsim::campaign::{
-    run, CampaignConfig, Classification, EngineChoice, KindChoice, WorkloadKind,
+    run, CampaignConfig, Classification, EngineChoice, KindChoice, Report, WorkloadKind,
 };
 use metal_trace::FaultSite;
 use metal_util::cli::{fail, parse_num, usage};
@@ -39,6 +39,15 @@ fn parse_sites(list: &str) -> Option<Vec<FaultSite>> {
 /// `0..=100` (a NaN floor would disable the gate).
 fn parse_pct(s: &str) -> Option<f64> {
     s.parse::<f64>().ok().filter(|p| (0.0..=100.0).contains(p))
+}
+
+/// The corrected rate in percent, or `None` when the campaign
+/// evaluated no case (every case skipped, or none run): a rate of
+/// nothing, which the summary prints as `n/a` and the
+/// `--min-corrected-pct` gate refuses.
+fn corrected_pct(report: &Report) -> Option<f64> {
+    let tally = report.tally(None);
+    (tally.total() > tally.of(Classification::Skipped)).then(|| report.corrected_pct())
 }
 
 fn main() -> ExitCode {
@@ -150,8 +159,8 @@ fn main() -> ExitCode {
         }
         println!();
         println!(
-            "corrected {:.1}% | sdc {} | machine checks {} | scrubs {}",
-            report.corrected_pct(),
+            "corrected {} | sdc {} | machine checks {} | scrubs {}",
+            corrected_pct(&report).map_or("n/a".to_owned(), |p| format!("{p:.1}%")),
             report.count(Classification::Sdc),
             report
                 .outcomes
@@ -185,12 +194,20 @@ fn main() -> ExitCode {
         }
     }
     if let Some(floor) = min_corrected_pct {
-        let pct = report.corrected_pct();
-        if pct < floor {
-            return fail(
-                "mfault",
-                &format!("corrected rate {pct:.1}% below --min-corrected-pct {floor}"),
-            );
+        match corrected_pct(&report) {
+            None => {
+                return fail(
+                    "mfault",
+                    &format!("no case was evaluated, so --min-corrected-pct {floor} has nothing to check"),
+                );
+            }
+            Some(pct) if pct < floor => {
+                return fail(
+                    "mfault",
+                    &format!("corrected rate {pct:.1}% below --min-corrected-pct {floor}"),
+                );
+            }
+            Some(_) => {}
         }
     }
     ExitCode::SUCCESS
@@ -198,7 +215,13 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_pct;
+    use super::{corrected_pct, parse_pct};
+    use metal_faultsim::campaign::Report;
+
+    #[test]
+    fn no_evaluated_case_has_no_corrected_rate() {
+        assert_eq!(corrected_pct(&Report::default()), None);
+    }
 
     #[test]
     fn corrected_pct_floor_must_be_a_finite_percentage() {

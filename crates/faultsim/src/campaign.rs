@@ -51,11 +51,11 @@ use metal_util::{shard, Rng};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// Watchdog fuel per run (cycles on the pipelined core, steps on the
-/// interpreter).
+/// Watchdog fuel per run, in cycles on either engine (one interpreter
+/// step is one cycle).
 pub const FUEL: u64 = 2_000_000;
 
-/// Cycle/step granularity between stuck-at re-assertions.
+/// Cycles between stuck-at re-assertions.
 const CHUNK: u64 = 2_048;
 
 /// Which engine the campaign drives.

@@ -28,19 +28,10 @@
 //! with the recorded state — a divergence artifact keeps failing for
 //! as long as the bug it witnesses exists.
 
+use crate::coverage::fnv1a;
 use crate::exec::{BugKind, CaseResult, CaseRunner, EngineRun};
 use crate::grammar::{FuzzCase, RoutineSpec};
 use metal_pipeline::{HaltReason, TrapCause};
-
-/// FNV-1a over bytes — the MRAM data-segment checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Renders a case and its reference run as an artifact.
 #[must_use]
@@ -84,7 +75,7 @@ pub fn serialize(case: &FuzzCase, reference: &EngineRun) -> String {
     }
     out.push_str(&format!(
         "expect mramsum {:#018x}\n",
-        fnv1a(&reference.mram_data)
+        fnv1a(reference.mram_data.iter().copied())
     ));
     out
 }
@@ -272,7 +263,7 @@ fn check(result: &CaseResult, expect: &Expectations) -> Result<(), String> {
         }
     }
     if let Some(want) = expect.mramsum {
-        let got = fnv1a(&run.mram_data);
+        let got = fnv1a(run.mram_data.iter().copied());
         if got != want {
             return Err(format!(
                 "mram checksum: expected {want:#018x}, got {got:#018x}"

@@ -32,16 +32,17 @@ impl Default for CoverageMap {
     }
 }
 
-/// FNV-1a over a list of words — stable, dependency-free feature hash.
+/// 64-bit FNV-1a over bytes: stable and dependency-free. It hashes
+/// coverage features and checksums MRAM data in replay artifacts.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The feature hash: FNV-1a over the words' little-endian bytes.
 fn hash(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &w in words {
-        for byte in w.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    fnv1a(words.iter().flat_map(|w| w.to_le_bytes()))
 }
 
 impl CoverageMap {

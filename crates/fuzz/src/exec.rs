@@ -33,7 +33,9 @@ use metal_trace::{Event, TraceConfig, TraceHandle};
 
 /// Cycle budget per case on the pipelined cores.
 pub const CORE_LIMIT: u64 = 2_000_000;
-/// Step budget per case on the interpreter.
+/// Cycle budget per case on the interpreter. It is half the cores'
+/// because the interpreter executes one instruction every cycle, while
+/// the pipelined cores also spend cycles on stalls and flushes.
 pub const INTERP_LIMIT: u64 = 1_000_000;
 
 /// Retirement PCs recorded per run (the tail is summarized by count).
@@ -208,9 +210,10 @@ pub fn halt_kind(halt: &Option<HaltReason>) -> u32 {
 pub struct CaseResult {
     /// A human-readable divergence description, if any oracle fired.
     pub divergence: Option<String>,
-    /// True when either engine hit its budget without halting: the run
-    /// is not comparable (the budgets are in different units) and the
-    /// case is discarded rather than diffed.
+    /// True when either engine hit its cycle budget without halting:
+    /// the budgets differ ([`CORE_LIMIT`], [`INTERP_LIMIT`]), so the
+    /// engines stopped at different points, and the case is discarded
+    /// rather than diffed.
     pub hang: bool,
     /// The decode-cache-enabled core's run (the coverage source).
     pub core: EngineRun,

@@ -24,15 +24,9 @@
 use crate::grammar::FuzzCase;
 use metal_lint::checks::{analyze, UnitReport};
 use metal_lint::{Check, Level, LintConfig, MRAM_BASE};
+use metal_pipeline::TrapCause;
 use metal_trace::Event;
 use metal_trace::EventKind;
-
-/// `mcause` code for an illegal-instruction trap.
-const CODE_ILLEGAL: u32 = 2;
-/// `mcause` code for a load access fault (MRAM `mld` out of bounds).
-const CODE_LOAD_FAULT: u32 = 5;
-/// `mcause` code for a store access fault (MRAM `mst` out of bounds).
-const CODE_STORE_FAULT: u32 = 7;
 
 /// What the analysis asserts about one property of one unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,8 +168,8 @@ pub fn check_events(lint: &CaseLint, engine: &str, events: &[Event]) -> Option<S
 
 /// Judges a single architectural trap against the lint claims.
 fn check_trap(lint: &CaseLint, engine: &str, code: u32, tval: u32, pc: u32) -> Option<String> {
-    match code {
-        CODE_ILLEGAL => {
+    match TrapCause::from_code(code)? {
+        TrapCause::IllegalInstruction => {
             // A privilege violation is an illegal-instruction trap on a
             // word that *does* decode — to a Metal-only instruction —
             // outside the MRAM window (i.e. outside Metal mode).
@@ -199,7 +193,7 @@ fn check_trap(lint: &CaseLint, engine: &str, code: u32, tval: u32, pc: u32) -> O
                 )
             })
         }
-        CODE_LOAD_FAULT | CODE_STORE_FAULT => {
+        TrapCause::LoadAccessFault | TrapCause::StoreAccessFault => {
             // An MRAM data fault: the trap fires at an MRAM pc and the
             // faulting instruction is an `mld`/`mst` of the static image.
             let unit = lint.routine_at(pc)?;
@@ -293,7 +287,7 @@ mod tests {
         let store_fault = |events: &[Event]| {
             events.iter().find_map(|e| match e.kind {
                 EventKind::Trap { code, tval, pc }
-                    if code == CODE_STORE_FAULT && pc >= MRAM_BASE =>
+                    if code == TrapCause::StoreAccessFault.code() && pc >= MRAM_BASE =>
                 {
                     Some((tval, pc))
                 }
@@ -325,7 +319,8 @@ mod tests {
         assert_eq!(lint.guest.privilege_claim(), Claim::Clean);
         let mexit = encode(&Insn::Mexit);
         assert_eq!(lint.guest.word_at(4), Some(mexit));
-        let finding = check_events(&lint, "core", &[event(CODE_ILLEGAL, mexit, 4)]);
+        let illegal = TrapCause::IllegalInstruction.code();
+        let finding = check_events(&lint, "core", &[event(illegal, mexit, 4)]);
         assert!(
             finding.as_deref().unwrap_or("").contains("privilege-clean"),
             "{finding:?}"
@@ -333,7 +328,7 @@ mod tests {
         // The same trap at a pc outside the static image is screened
         // out (could be self-modifying or generated code).
         assert_eq!(
-            check_events(&lint, "core", &[event(CODE_ILLEGAL, mexit, 0x4000)]),
+            check_events(&lint, "core", &[event(illegal, mexit, 0x4000)]),
             None
         );
     }
@@ -358,7 +353,11 @@ mod tests {
         assert_eq!(unit.bounds_claim(), Claim::Unknown);
         let pc = unit.base + 4; // the mld
         assert_eq!(
-            check_events(&lint, "core", &[event(CODE_LOAD_FAULT, 0xFFC0, pc)]),
+            check_events(
+                &lint,
+                "core",
+                &[event(TrapCause::LoadAccessFault.code(), 0xFFC0, pc)]
+            ),
             None
         );
     }

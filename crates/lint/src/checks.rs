@@ -11,7 +11,7 @@
 use crate::cfg::Cfg;
 use crate::dataflow::{solve, Lattice, Solution};
 use crate::domains::{def_bit, Intervals, ReachDefs, Taints, M31_SLOT, RETADDR, SECRET};
-use crate::{Check, Diagnostic, Level, LintConfig, UnitKind};
+use crate::{Battery, Check, Diagnostic, Level, LintConfig, UnitKind};
 use metal_asm::Assembled;
 use metal_isa::insn::{AluOp, Cond, CsrSrc, Insn};
 use metal_isa::metal::{MarchOp, MAX_MROUTINES, MENTER_INDIRECT, METAL_OPCODE};
@@ -56,29 +56,27 @@ impl Analyzer<'_> {
     }
 
     /// The linear pass behind the loader's install-time verification
-    /// ([`CheckSet::install`]): privilege and structure findings in
+    /// ([`Battery::Install`]): privilege and structure findings in
     /// program order, each tagged with the producing check so callers
-    /// can filter.
+    /// can filter. Under [`Battery::Full`] it adds dead-code findings.
     fn linear_mroutine_pass(&mut self) {
-        let checks = self.config.checks;
+        let full = self.config.battery == Battery::Full;
         let (window_start, window_end) = self.config.code_window();
         let mut saw_exit_path = false;
         for idx in 0..self.cfg.insns.len() {
             let pc = self.cfg.pc_of(idx);
             let d = self.cfg.insns[idx];
             if d.is_illegal() {
-                if checks.privilege {
-                    self.diag(
-                        Level::Deny,
-                        Check::Privilege,
-                        pc,
-                        format!("illegal instruction word {:#010x}", d.word),
-                    );
-                }
+                self.diag(
+                    Level::Deny,
+                    Check::Privilege,
+                    pc,
+                    format!("illegal instruction word {:#010x}", d.word),
+                );
                 continue;
             }
             match d.insn {
-                Insn::Ecall | Insn::Mret | Insn::Wfi if checks.privilege => {
+                Insn::Ecall | Insn::Mret | Insn::Wfi => {
                     self.diag(
                         Level::Deny,
                         Check::Privilege,
@@ -91,16 +89,14 @@ impl Analyzer<'_> {
                 }
                 Insn::Menter { entry, .. } => {
                     if !self.config.nested_allowed {
-                        if checks.privilege {
-                            self.diag(
-                                Level::Deny,
-                                Check::Privilege,
-                                pc,
-                                "nested menter requires a layered (nested Metal) configuration"
-                                    .to_owned(),
-                            );
-                        }
-                    } else if entry == MENTER_INDIRECT && checks.privilege {
+                        self.diag(
+                            Level::Deny,
+                            Check::Privilege,
+                            pc,
+                            "nested menter requires a layered (nested Metal) configuration"
+                                .to_owned(),
+                        );
+                    } else if entry == MENTER_INDIRECT {
                         self.diag(
                             Level::Warn,
                             Check::Privilege,
@@ -112,7 +108,7 @@ impl Analyzer<'_> {
                 Insn::Mexit => saw_exit_path = true,
                 Insn::Jal { offset, .. } => {
                     let target = pc.wrapping_add(offset as u32);
-                    if (target < window_start || target >= window_end) && checks.structure {
+                    if target < window_start || target >= window_end {
                         self.diag(
                             Level::Deny,
                             Check::Structure,
@@ -123,7 +119,7 @@ impl Analyzer<'_> {
                 }
                 Insn::Branch { offset, .. } => {
                     let target = pc.wrapping_add(offset as u32);
-                    if (target < window_start || target >= window_end) && checks.structure {
+                    if target < window_start || target >= window_end {
                         self.diag(
                             Level::Deny,
                             Check::Structure,
@@ -133,17 +129,15 @@ impl Analyzer<'_> {
                     }
                 }
                 Insn::Jalr { .. } => {
-                    if checks.structure {
-                        self.diag(
-                            Level::Warn,
-                            Check::Structure,
-                            pc,
-                            "jalr target cannot be checked statically".to_owned(),
-                        );
-                    }
+                    self.diag(
+                        Level::Warn,
+                        Check::Structure,
+                        pc,
+                        "jalr target cannot be checked statically".to_owned(),
+                    );
                     saw_exit_path = true; // may be a computed return
                 }
-                Insn::Ebreak if checks.structure => {
+                Insn::Ebreak => {
                     self.diag(
                         Level::Warn,
                         Check::Structure,
@@ -154,14 +148,14 @@ impl Analyzer<'_> {
                 _ => {}
             }
         }
-        if !saw_exit_path && !self.cfg.insns.is_empty() && checks.structure {
+        if !saw_exit_path && !self.cfg.insns.is_empty() {
             self.diag(
                 Level::Warn,
                 Check::Structure,
                 self.config.base,
                 "no mexit (or computed jump) found: the mroutine never returns".to_owned(),
             );
-        } else if self.cfg.falls_off_end.is_some() && checks.deadcode {
+        } else if self.cfg.falls_off_end.is_some() && full {
             // Suppressed when the missing-mexit warning already fired:
             // both describe the same defect (the routine does not return
             // cleanly) and the loader surfaces exactly one finding.
@@ -173,7 +167,7 @@ impl Analyzer<'_> {
                 "control can fall through the end of the code segment".to_owned(),
             );
         }
-        if checks.deadcode {
+        if full {
             self.dead_code_pass();
         }
     }
@@ -183,7 +177,6 @@ impl Analyzer<'_> {
     /// reachability is discarded when a computed jump could reach
     /// anything.
     fn program_pass(&mut self) {
-        let checks = self.config.checks;
         let computed_jump = (0..self.cfg.insns.len())
             .any(|i| self.cfg.reachable[i] && matches!(self.cfg.insns[i].insn, Insn::Jalr { .. }));
         for idx in 0..self.cfg.insns.len() {
@@ -193,7 +186,7 @@ impl Analyzer<'_> {
             let pc = self.cfg.pc_of(idx);
             let d = self.cfg.insns[idx];
             if d.is_illegal() {
-                if checks.privilege && self.cfg.reachable[idx] {
+                if self.cfg.reachable[idx] {
                     self.diag(
                         Level::Deny,
                         Check::Privilege,
@@ -203,7 +196,7 @@ impl Analyzer<'_> {
                 }
                 continue;
             }
-            if d.insn.metal_mode_only() && checks.privilege {
+            if d.insn.metal_mode_only() {
                 self.diag(
                     Level::Deny,
                     Check::Privilege,
@@ -215,33 +208,31 @@ impl Analyzer<'_> {
                 );
             }
         }
-        if checks.structure {
-            let escapes: Vec<_> = self
-                .cfg
-                .escapes
-                .iter()
-                .filter(|e| self.cfg.reachable[e.idx])
-                .copied()
-                .collect();
-            for e in escapes {
-                let pc = self.cfg.pc_of(e.idx);
-                self.diag(
-                    Level::Warn,
-                    Check::Structure,
-                    pc,
-                    format!("jump target {:#010x} leaves the program image", e.target),
-                );
-            }
-            if let Some(idx) = self.cfg.falls_off_end {
-                self.diag(
-                    Level::Warn,
-                    Check::Structure,
-                    self.cfg.pc_of(idx),
-                    "control can fall through the end of the code segment".to_owned(),
-                );
-            }
+        let escapes: Vec<_> = self
+            .cfg
+            .escapes
+            .iter()
+            .filter(|e| self.cfg.reachable[e.idx])
+            .copied()
+            .collect();
+        for e in escapes {
+            let pc = self.cfg.pc_of(e.idx);
+            self.diag(
+                Level::Warn,
+                Check::Structure,
+                pc,
+                format!("jump target {:#010x} leaves the program image", e.target),
+            );
         }
-        if checks.deadcode && !computed_jump {
+        if let Some(idx) = self.cfg.falls_off_end {
+            self.diag(
+                Level::Warn,
+                Check::Structure,
+                self.cfg.pc_of(idx),
+                "control can fall through the end of the code segment".to_owned(),
+            );
+        }
+        if self.config.battery == Battery::Full && !computed_jump {
             self.dead_code_pass();
         }
     }
@@ -277,7 +268,6 @@ impl Analyzer<'_> {
     /// The dataflow battery: bounds, retaddr, leak, intercept. All three
     /// lattices are solved once and replayed per block.
     fn dataflow_pass(&mut self) {
-        let checks = self.config.checks;
         let iv = solve(&self.cfg, Intervals::entry());
         let tn = solve(&self.cfg, Taints::entry());
         let rd = solve(&self.cfg, ReachDefs::entry());
@@ -297,20 +287,16 @@ impl Analyzer<'_> {
                 let pc = self.cfg.pc_of(idx);
                 let d = self.cfg.insns[idx];
                 match d.insn {
-                    Insn::Mld { rs1, offset, .. } | Insn::Mst { rs1, offset, .. }
-                        if checks.bounds =>
-                    {
+                    Insn::Mld { rs1, offset, .. } | Insn::Mst { rs1, offset, .. } => {
                         self.check_bounds(&ivals[off], &d.insn, rs1, offset, pc);
                     }
                     Insn::Wmr {
                         rs1,
                         idx: MregIdx::RETURN_ADDRESS,
-                    } if checks.retaddr && taints[off].get(rs1) & RETADDR == 0 => {
+                    } if taints[off].get(rs1) & RETADDR == 0 => {
                         clobbers.push((idx, pc));
                     }
-                    Insn::Store { rs2, .. }
-                        if checks.leak && taints[off].get(rs2) & SECRET != 0 =>
-                    {
+                    Insn::Store { rs2, .. } if taints[off].get(rs2) & SECRET != 0 => {
                         pending.push((
                             pc,
                             "secret Metal-register value stored to normal memory".to_owned(),
@@ -320,7 +306,7 @@ impl Analyzer<'_> {
                         op: MarchOp::Mpst,
                         rs2,
                         ..
-                    } if checks.leak && taints[off].get(rs2) & SECRET != 0 => {
+                    } if taints[off].get(rs2) & SECRET != 0 => {
                         pending.push((
                             pc,
                             "secret Metal-register value stored to physical memory".to_owned(),
@@ -329,13 +315,13 @@ impl Analyzer<'_> {
                     Insn::Csr {
                         src: CsrSrc::Reg(rs1),
                         ..
-                    } if checks.leak && taints[off].get(rs1) & SECRET != 0 => {
+                    } if taints[off].get(rs1) & SECRET != 0 => {
                         pending.push((
                             pc,
                             "secret Metal-register value written to a CSR".to_owned(),
                         ));
                     }
-                    Insn::Mexit if checks.leak => {
+                    Insn::Mexit => {
                         let leaked: Vec<&str> = (1..32)
                             .filter(|&r| taints[off].0[r] & SECRET != 0)
                             .map(|r| Reg::new(r as u8).expect("index < 32").abi_name())
@@ -358,7 +344,7 @@ impl Analyzer<'_> {
                         rs1,
                         rs2,
                         ..
-                    } if checks.intercept => {
+                    } => {
                         self.check_intercept(&ivals[off], rs1, rs2, pc);
                     }
                     _ => {}
@@ -371,7 +357,7 @@ impl Analyzer<'_> {
 
         // Second sweep: a clobber only matters if its definition reaches
         // an `mexit` (the architectural consumer of m31).
-        if checks.retaddr && !clobbers.is_empty() {
+        if !clobbers.is_empty() {
             let mut reaches = vec![false; clobbers.len()];
             for id in 0..self.cfg.blocks.len() {
                 let rdefs = rd.states_in_block(&self.cfg, id);
@@ -405,9 +391,7 @@ impl Analyzer<'_> {
             }
         }
 
-        if checks.budget {
-            self.budget_pass(&iv);
-        }
+        self.budget_pass(&iv);
     }
 
     /// MRAM data-segment bounds for one `mld`/`mst`.
@@ -663,7 +647,7 @@ impl Analyzer<'_> {
     }
 }
 
-/// Runs every enabled check over `words` at `config.base`.
+/// Runs the configured battery over `words` at `config.base`.
 #[must_use]
 pub fn analyze(words: &[u32], config: &LintConfig, asm: Option<&Assembled>) -> UnitReport {
     let cfg = Cfg::build(config.base, words);
@@ -681,8 +665,7 @@ pub fn analyze(words: &[u32], config: &LintConfig, asm: Option<&Assembled>) -> U
     match config.kind {
         UnitKind::Mroutine => {
             a.linear_mroutine_pass();
-            let c = config.checks;
-            if c.bounds || c.retaddr || c.leak || c.budget || c.intercept {
+            if config.battery == Battery::Full {
                 a.dataflow_pass();
             }
         }

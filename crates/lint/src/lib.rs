@@ -130,59 +130,17 @@ impl Diagnostic {
     }
 }
 
-/// Which checks to run.
+/// Which checks run over a unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CheckSet {
-    /// Run the privilege/mode-correctness check.
-    pub privilege: bool,
-    /// Run the MRAM bounds check.
-    pub bounds: bool,
-    /// Run the `m31`-clobber check.
-    pub retaddr: bool,
-    /// Run the taint-leak check.
-    pub leak: bool,
-    /// Run the instruction-budget check.
-    pub budget: bool,
-    /// Run the intercept-redirection check.
-    pub intercept: bool,
-    /// Run the structural checks (window escapes, missing `mexit`).
-    pub structure: bool,
-    /// Emit dead-code / fallthrough-off-segment warnings.
-    pub deadcode: bool,
-}
-
-impl CheckSet {
-    /// Everything on (the `mlint` CLI default).
-    #[must_use]
-    pub const fn all() -> CheckSet {
-        CheckSet {
-            privilege: true,
-            bounds: true,
-            retaddr: true,
-            leak: true,
-            budget: true,
-            intercept: true,
-            structure: true,
-            deadcode: true,
-        }
-    }
-
-    /// The loader's install-time set: privilege and structural checks
-    /// only (dataflow warnings would reject long-standing extension
-    /// idioms like computed `m31` resume addresses).
-    #[must_use]
-    pub const fn install() -> CheckSet {
-        CheckSet {
-            privilege: true,
-            bounds: false,
-            retaddr: false,
-            leak: false,
-            budget: false,
-            intercept: false,
-            structure: true,
-            deadcode: false,
-        }
-    }
+pub enum Battery {
+    /// Every check: privilege, structure, dead code and the dataflow
+    /// battery (bounds, retaddr, leak, budget, intercept). The `mlint`
+    /// CLI default.
+    Full,
+    /// The loader's install-time set: privilege and structure only
+    /// (dataflow warnings would reject long-standing extension idioms
+    /// like computed `m31` resume addresses).
+    Install,
 }
 
 /// What kind of unit is being analyzed.
@@ -212,8 +170,8 @@ pub struct LintConfig {
     pub nested_allowed: bool,
     /// Worst-case instruction budget per invocation.
     pub budget: u64,
-    /// Enabled checks.
-    pub checks: CheckSet,
+    /// Which checks run.
+    pub battery: Battery,
 }
 
 impl LintConfig {
@@ -227,7 +185,7 @@ impl LintConfig {
             data_bytes: MRAM_DATA_BYTES,
             nested_allowed: false,
             budget: 4096,
-            checks: CheckSet::all(),
+            battery: Battery::Full,
         }
     }
 
@@ -241,7 +199,7 @@ impl LintConfig {
             data_bytes: MRAM_DATA_BYTES,
             nested_allowed: false,
             budget: 4096,
-            checks: CheckSet::all(),
+            battery: Battery::Full,
         }
     }
 
@@ -310,12 +268,22 @@ mod tests {
     }
 
     #[test]
-    fn install_set_is_a_subset_of_all() {
-        let all = CheckSet::all();
-        let install = CheckSet::install();
-        assert!(all.privilege && all.deadcode);
-        assert!(install.privilege && install.structure);
-        assert!(!install.retaddr && !install.leak && !install.deadcode);
+    fn install_battery_reports_only_privilege_and_structure() {
+        // An environment instruction, an m31 clobber that reaches
+        // `mexit`, and one dead instruction after it.
+        let src = "ecall\n li t0, 1\n wmr m31, t0\n mexit\n addi a0, a0, 1";
+        let full = lint_source(src, &LintConfig::mroutine(MRAM_BASE)).unwrap();
+        let install = LintConfig {
+            battery: Battery::Install,
+            ..LintConfig::mroutine(MRAM_BASE)
+        };
+        let install = lint_source(src, &install).unwrap();
+        let checks = |diags: &[Diagnostic]| diags.iter().map(|d| d.check).collect::<Vec<_>>();
+        assert_eq!(checks(&install), [Check::Privilege]);
+        assert_eq!(
+            checks(&full),
+            [Check::Privilege, Check::Structure, Check::RetAddr]
+        );
     }
 
     #[test]

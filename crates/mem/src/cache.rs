@@ -8,16 +8,14 @@
 //! single-cycle latency, and "accesses to the RAM do not alter processor
 //! caches" (paper §2).
 
-/// Geometry and latency of one cache.
+/// Geometry and miss cost of one cache.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u32,
     /// Line size in bytes (power of two).
     pub line_bytes: u32,
-    /// Cycles for a hit.
-    pub hit_latency: u32,
-    /// Additional cycles for a miss (memory access).
+    /// Cycles a miss adds to [`Cache::HIT_LATENCY`] (memory access).
     pub miss_penalty: u32,
 }
 
@@ -26,7 +24,6 @@ impl Default for CacheConfig {
         CacheConfig {
             size_bytes: 4 * 1024,
             line_bytes: 32,
-            hit_latency: 1,
             miss_penalty: 15,
         }
     }
@@ -45,6 +42,9 @@ pub struct Cache {
 }
 
 impl Cache {
+    /// Cycles for a hit, on every cache of the modelled core.
+    pub const HIT_LATENCY: u32 = 1;
+
     /// Creates an empty cache.
     ///
     /// # Panics
@@ -88,11 +88,11 @@ impl Cache {
         self.accesses += 1;
         let (index, tag) = self.index_and_tag(addr);
         if self.tags[index] == Some(tag) {
-            self.config.hit_latency
+            Cache::HIT_LATENCY
         } else {
             self.misses += 1;
             self.tags[index] = Some(tag);
-            self.config.hit_latency + self.config.miss_penalty
+            Cache::HIT_LATENCY + self.config.miss_penalty
         }
     }
 
@@ -142,7 +142,6 @@ mod tests {
         Cache::new(CacheConfig {
             size_bytes: 128,
             line_bytes: 32,
-            hit_latency: 1,
             miss_penalty: 9,
         })
     }
@@ -192,7 +191,6 @@ mod tests {
         let _ = Cache::new(CacheConfig {
             size_bytes: 96,
             line_bytes: 33,
-            hit_latency: 1,
             miss_penalty: 1,
         });
     }

@@ -79,13 +79,13 @@ impl Pte {
     /// The 4-bit page key.
     #[must_use]
     pub fn key(self) -> u8 {
-        ((self.0 >> 5) & 0xF) as u8
+        ((self.0 >> KEY_SHIFT) & KEY_MASK) as u8
     }
 
     /// Returns a copy with the page key set.
     #[must_use]
     pub fn with_key(self, key: u8) -> Pte {
-        Pte((self.0 & !(0xF << 5)) | ((u32::from(key) & 0xF) << 5))
+        Pte((self.0 & !(KEY_MASK << KEY_SHIFT)) | ((u32::from(key) & KEY_MASK) << KEY_SHIFT))
     }
 
     /// True if the PTE permits the access (ignoring page keys).
@@ -110,21 +110,16 @@ pub enum TlbFault {
     KeyViolation,
 }
 
-/// TLB geometry and behaviour.
+/// TLB geometry.
 #[derive(Clone, Copy, Debug)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: usize,
-    /// Number of page-key slots.
-    pub keys: usize,
 }
 
 impl Default for TlbConfig {
     fn default() -> TlbConfig {
-        TlbConfig {
-            entries: 32,
-            keys: 16,
-        }
+        TlbConfig { entries: 32 }
     }
 }
 
@@ -137,6 +132,13 @@ struct Entry {
     stamp: u64,
 }
 
+/// Position of the page key in a PTE (bits 5..9).
+const KEY_SHIFT: u32 = 5;
+/// Width mask of the page key.
+const KEY_MASK: u32 = 0xF;
+/// Page keys the PTE format can name.
+const KEYS: usize = KEY_MASK as usize + 1;
+
 /// Per-key permission mask: bit 0 = read allowed, bit 1 = write allowed.
 /// Execute is not key-gated (matches how protection keys work on x86).
 const KEY_READ: u32 = 1 << 0;
@@ -145,9 +147,8 @@ const KEY_WRITE: u32 = 1 << 1;
 /// A fully associative, software-managed TLB.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    config: TlbConfig,
     entries: Vec<Option<Entry>>,
-    key_perms: Vec<u32>,
+    key_perms: [u32; KEYS],
     clock: u64,
     /// Statistics: lookups, hits.
     pub lookups: u64,
@@ -163,9 +164,8 @@ impl Tlb {
     #[must_use]
     pub fn new(config: TlbConfig) -> Tlb {
         Tlb {
-            config,
             entries: vec![None; config.entries],
-            key_perms: vec![KEY_READ | KEY_WRITE; config.keys],
+            key_perms: [KEY_READ | KEY_WRITE; KEYS],
             clock: 0,
             lookups: 0,
             hits: 0,
@@ -176,7 +176,7 @@ impl Tlb {
     /// Number of entry slots.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.config.entries
+        self.entries.len()
     }
 
     /// Fault injection: flips one bit of the entry in `slot` — bits
@@ -226,8 +226,7 @@ impl Tlb {
             });
             return Err(TlbFault::Protection);
         }
-        let key = pte.key() as usize;
-        let perms = self.key_perms.get(key).copied().unwrap_or(0);
+        let perms = self.key_perms[usize::from(pte.key())];
         let key_ok = match kind {
             AccessKind::Read => perms & KEY_READ != 0,
             AccessKind::Write => perms & KEY_WRITE != 0,
@@ -450,11 +449,19 @@ mod tests {
     }
 
     #[test]
+    fn key_count_is_fixed_by_the_pte_key_field() {
+        let mut tlb = Tlb::new(TlbConfig::default());
+        assert_eq!(tlb.key_masks().len(), 16);
+        assert_eq!(Pte(0).with_key(0xFF).key(), 15);
+        // A guest key past the PTE field's range names no slot.
+        tlb.set_key_perms(16, 0);
+        assert_eq!(tlb.key_perms(16), 0);
+        assert!(tlb.key_masks().iter().all(|&m| m == KEY_READ | KEY_WRITE));
+    }
+
+    #[test]
     fn lru_eviction() {
-        let mut tlb = Tlb::new(TlbConfig {
-            entries: 2,
-            keys: 16,
-        });
+        let mut tlb = Tlb::new(TlbConfig { entries: 2 });
         tlb.install(0x1000, rw_pte(0x8000), 0);
         tlb.install(0x2000, rw_pte(0x9000), 0);
         // Touch page 1 so page 2 is LRU.

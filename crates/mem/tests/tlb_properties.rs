@@ -70,10 +70,7 @@ fn rand_op(rng: &mut Rng) -> Op {
 fn no_duplicate_matches() {
     let mut rng = Rng::new(0x711b_0001);
     for _case in 0..256 {
-        let mut tlb = Tlb::new(TlbConfig {
-            entries: 4,
-            keys: 16,
-        });
+        let mut tlb = Tlb::new(TlbConfig { entries: 4 });
         let steps = rng.range_usize(1, 120);
         for _ in 0..steps {
             match rand_op(&mut rng) {
@@ -117,10 +114,7 @@ fn no_duplicate_matches() {
 fn translate_matches_model() {
     let mut rng = Rng::new(0x711b_0002);
     for _case in 0..256 {
-        let mut tlb = Tlb::new(TlbConfig {
-            entries: 64,
-            keys: 16,
-        });
+        let mut tlb = Tlb::new(TlbConfig { entries: 64 });
         let mut model: HashMap<u32, Pte> = HashMap::new();
         for _ in 0..rng.range_usize(1, 32) {
             let vp = (rng.next_u64() % 32) as u32;
@@ -151,10 +145,7 @@ fn translate_matches_model() {
 #[test]
 fn capacity_respected() {
     for n in 1usize..16 {
-        let mut tlb = Tlb::new(TlbConfig {
-            entries: n,
-            keys: 16,
-        });
+        let mut tlb = Tlb::new(TlbConfig { entries: n });
         for i in 0..n as u32 {
             tlb.install(i << 12, Pte::new(i << 12, Pte::V | Pte::R), 0);
         }

@@ -8,6 +8,12 @@
 //! Runs the baseline (non-Metal) machine with a console at 0xF0000000
 //! and a timer at 0xF0000100. Exits with the guest's `ebreak` code.
 //!
+//! The run is under the same watchdog as every other tool
+//! ([`Engine::run_fuel`]): it stops at `--max-cycles`, or earlier when
+//! a [`HANG_WINDOW`]-cycle window passes outside `wfi` with no
+//! instruction retired, and then exits 1 saying which of the two
+//! happened.
+//!
 //! `--engine` selects the cycle-accurate pipelined core (the default)
 //! or the functional reference interpreter; both go through the same
 //! [`Engine`] trait, so everything below the flag is engine-agnostic.
@@ -19,7 +25,7 @@
 //! architectural state or cycle counts.
 
 use metal_mem::devices::{map, Console, Timer};
-use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks};
+use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks, HANG_WINDOW};
 use metal_trace::{TraceConfig, TraceHandle};
 use metal_util::cli::{fail, parse_num, parse_u32, usage};
 use std::process::ExitCode;
@@ -132,7 +138,7 @@ fn run_sim<E: Engine<Hooks = NoHooks>>(opts: &Opts) -> ExitCode {
         .bus
         .attach(map::TIMER_BASE, map::WINDOW_LEN, Box::new(Timer::new()));
     machine.load_segments([(opts.base, opts.image.as_slice())], opts.entry);
-    let halt = machine.run(opts.max_cycles);
+    let halt = machine.run_fuel(opts.max_cycles);
     let bytes = out.lock().clone();
     if !bytes.is_empty() {
         print!("{}", String::from_utf8_lossy(&bytes));
@@ -141,46 +147,35 @@ fn run_sim<E: Engine<Hooks = NoHooks>>(opts: &Opts) -> ExitCode {
         let state = machine.state();
         let p = &state.perf;
         eprintln!(
-            "engine {} | cycles {} instret {} CPI {:.2} | stalls: fetch {} mem {} loaduse {} flush {}",
+            "engine {} | cycles {} instret {} CPI {} | stalls: fetch {} mem {} loaduse {} flush {}",
             E::name(),
             p.cycles,
             p.instret,
-            p.cycles as f64 / p.instret.max(1) as f64,
+            rate(p.cycles, p.instret).map_or("n/a".to_owned(), |r| format!("{r:.2}")),
             p.fetch_stall,
             p.mem_stall,
             p.loaduse_stall,
             p.flush_cycles
         );
-        let pct = |hits: u64, total: u64| {
-            if total == 0 {
-                100.0
-            } else {
-                hits as f64 / total as f64 * 100.0
-            }
-        };
         let icache = &state.icache;
         let dcache = &state.dcache;
         let tlb = &state.tlb;
+        let hits = |hits: u64, total: u64| {
+            let pct = rate(hits, total).map_or("n/a".to_owned(), |r| format!("{:.1}%", r * 100.0));
+            format!("{hits}/{total} hits ({pct})")
+        };
         eprintln!(
-            "icache {}/{} hits ({:.1}%) | dcache {}/{} hits ({:.1}%) | tlb {}/{} hits ({:.1}%), {} hw refills",
-            icache.accesses - icache.misses,
-            icache.accesses,
-            icache.hit_rate() * 100.0,
-            dcache.accesses - dcache.misses,
-            dcache.accesses,
-            dcache.hit_rate() * 100.0,
-            tlb.hits,
-            tlb.lookups,
-            pct(tlb.hits, tlb.lookups),
+            "icache {} | dcache {} | tlb {}, {} hw refills",
+            hits(icache.accesses - icache.misses, icache.accesses),
+            hits(dcache.accesses - dcache.misses, dcache.accesses),
+            hits(tlb.hits, tlb.lookups),
             p.hw_refills,
         );
         let dc = &state.decode_cache;
         eprintln!(
-            "decode cache {} | {}/{} hits ({:.1}%), {} invalidations",
+            "decode cache {} | {}, {} invalidations",
             if dc.enabled() { "on" } else { "off" },
-            dc.hits(),
-            dc.hits() + dc.misses(),
-            pct(dc.hits(), dc.hits() + dc.misses()),
+            hits(dc.hits(), dc.hits() + dc.misses()),
             dc.invalidations(),
         );
     }
@@ -200,17 +195,31 @@ fn run_sim<E: Engine<Hooks = NoHooks>>(opts: &Opts) -> ExitCode {
         eprintln!("msim: wrote metrics to {path}");
     }
     match halt {
-        Some(HaltReason::Ebreak { code }) => {
+        HaltReason::Ebreak { code } => {
             eprintln!("msim: ebreak with code {code}");
             ExitCode::from((code & 0xFF) as u8)
         }
-        Some(HaltReason::Fatal(msg)) => {
+        HaltReason::Fatal(msg) => {
             eprintln!("msim: fatal: {msg}");
             ExitCode::FAILURE
         }
-        Some(HaltReason::Timeout) | None => {
+        HaltReason::Timeout if machine.state().perf.cycles < opts.max_cycles => {
+            eprintln!(
+                "msim: hang: no instruction retired within a {HANG_WINDOW}-cycle window \
+                 (cycle {})",
+                machine.state().perf.cycles
+            );
+            ExitCode::FAILURE
+        }
+        HaltReason::Timeout => {
             eprintln!("msim: cycle limit ({}) reached", opts.max_cycles);
             ExitCode::FAILURE
         }
     }
+}
+
+/// `num / den`, or `None` when `den` is 0: every rate `--perf` prints
+/// reads `n/a` when there is nothing to divide by.
+fn rate(num: u64, den: u64) -> Option<f64> {
+    (den > 0).then(|| num as f64 / den as f64)
 }

@@ -37,7 +37,7 @@ pub struct EngineSnapshot<H: Hooks + Clone> {
 }
 
 /// Cycles without a retirement, outside `wfi`, that [`Engine::run_fuel`] calls a hang.
-const HANG_WINDOW: u64 = 100_000;
+pub const HANG_WINDOW: u64 = 100_000;
 
 /// A machine that can load and run guest programs: the pipelined core
 /// or the reference interpreter.

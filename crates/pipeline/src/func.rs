@@ -30,7 +30,7 @@ impl<H: Hooks> Engine for Interp<H> {
         Interp {
             state: MachineState::new(&config),
             hooks,
-            pc: config.reset_pc,
+            pc: 0,
         }
     }
 

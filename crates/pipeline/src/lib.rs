@@ -28,7 +28,7 @@ pub(crate) mod pipeline;
 pub mod state;
 pub mod trap;
 
-pub use engine::{Engine, EngineSnapshot};
+pub use engine::{Engine, EngineSnapshot, HANG_WINDOW};
 pub use func::Interp;
 pub use hooks::{CustomExec, DecodeOutcome, Hooks, NoHooks, TrapDisposition, TrapEvent};
 pub use pipeline::Core;

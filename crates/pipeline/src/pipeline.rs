@@ -30,6 +30,11 @@ use metal_isa::reg::Reg;
 use metal_isa::{decode_to, DecodedInsn};
 use metal_trace::{EventKind, StallKind, TraceHandle};
 
+/// Extra EX cycles of a `mul*`.
+const MUL_LATENCY: u32 = 2;
+/// Extra EX cycles of a `div*`/`rem*`.
+const DIV_LATENCY: u32 = 16;
+
 /// IF → ID and ID → EX latch. Fetch delivers instructions pre-decoded
 /// (the decode cache does the word→[`DecodedInsn`] work at most once per
 /// word); ID keeps only the hazard checks and the extension decode hook.
@@ -125,7 +130,6 @@ pub struct Core<H: Hooks> {
     pub state: MachineState,
     /// The ISA extension (Metal, or [`crate::hooks::NoHooks`]).
     pub hooks: H,
-    config: CoreConfig,
     pc: u32,
     if_id: Stage<Slot>,
     id_ex: Stage<Slot>,
@@ -141,8 +145,7 @@ impl<H: Hooks> Engine for Core<H> {
         Core {
             state: MachineState::new(&config),
             hooks,
-            pc: config.reset_pc,
-            config,
+            pc: 0,
             if_id: Stage::EMPTY,
             id_ex: Stage::EMPTY,
             ex_mem: Stage::EMPTY,
@@ -417,10 +420,8 @@ impl<H: Hooks> Core<H> {
             Insn::MulDiv { op, rs1, rs2, .. } => {
                 let v = op.eval(self.forward(rs1), self.forward(rs2));
                 let extra = match op {
-                    MulOp::Mul | MulOp::Mulh | MulOp::Mulhsu | MulOp::Mulhu => {
-                        self.config.mul_latency
-                    }
-                    _ => self.config.div_latency,
+                    MulOp::Mul | MulOp::Mulh | MulOp::Mulhsu | MulOp::Mulhu => MUL_LATENCY,
+                    _ => DIV_LATENCY,
                 };
                 push(self, v, 0, extra);
             }

@@ -173,27 +173,18 @@ pub struct PerfCounters {
     pub mip_snapshot: u32,
 }
 
-/// Timing and translation configuration of a core.
+/// Memory-system geometry of a core. The rest of its timing is fixed
+/// by the one modelled 5-stage design (the mul/div, MMIO, physical
+/// access and cache-hit latencies are constants), and every engine
+/// starts at PC 0 in [`TranslationMode::Bare`].
 #[derive(Clone, Copy, Debug)]
 pub struct CoreConfig {
-    /// Instruction cache geometry/latency.
+    /// Instruction cache geometry and miss penalty.
     pub icache: CacheConfig,
-    /// Data cache geometry/latency.
+    /// Data cache geometry and miss penalty.
     pub dcache: CacheConfig,
     /// TLB geometry.
     pub tlb: TlbConfig,
-    /// Extra EX cycles for `mul*`.
-    pub mul_latency: u32,
-    /// Extra EX cycles for `div*`/`rem*`.
-    pub div_latency: u32,
-    /// Fixed latency of an MMIO data access.
-    pub mmio_latency: u32,
-    /// Latency of an uncached physical access (`mpld`/`mpst`).
-    pub phys_latency: u32,
-    /// Translation mode at reset.
-    pub translation: TranslationMode,
-    /// PC at reset.
-    pub reset_pc: u32,
     /// RAM size in bytes.
     pub ram_bytes: usize,
     /// Enables the shared pre-decoded instruction cache (host-side
@@ -207,17 +198,17 @@ impl Default for CoreConfig {
             icache: CacheConfig::default(),
             dcache: CacheConfig::default(),
             tlb: TlbConfig::default(),
-            mul_latency: 2,
-            div_latency: 16,
-            mmio_latency: 3,
-            phys_latency: 6,
-            translation: TranslationMode::Bare,
-            reset_pc: 0,
             ram_bytes: 4 << 20,
             decode_cache: true,
         }
     }
 }
+
+/// Fixed latency of an MMIO data access, in cycles.
+const MMIO_LATENCY: u32 = 3;
+
+/// Latency of an uncached physical access (`mpld`/`mpst`), in cycles.
+const PHYS_LATENCY: u32 = 6;
 
 /// Direct-mapped slots in the decode cache (a 16 KiB code window at one
 /// slot per 4-byte word).
@@ -391,10 +382,6 @@ pub struct MachineState {
     pub perf: PerfCounters,
     /// Set when the machine has stopped.
     pub halted: Option<HaltReason>,
-    /// Fixed MMIO access latency.
-    pub mmio_latency: u32,
-    /// Fixed uncached physical access latency.
-    pub phys_latency: u32,
     /// Event sink; disabled by default (see [`MachineState::set_trace`]).
     pub trace: TraceHandle,
     /// Shared pre-decoded instruction cache (see [`DecodeCache`]).
@@ -412,12 +399,10 @@ impl MachineState {
             tlb: Tlb::new(config.tlb),
             icache: Cache::new(config.icache),
             dcache: Cache::new(config.dcache),
-            translation: config.translation,
+            translation: TranslationMode::Bare,
             asid: 0,
             perf: PerfCounters::default(),
             halted: None,
-            mmio_latency: config.mmio_latency,
-            phys_latency: config.phys_latency,
             trace: TraceHandle::disabled(),
             decode_cache: DecodeCache::new(config.decode_cache),
         }
@@ -597,7 +582,7 @@ impl MachineState {
         self.trace.emit(EventKind::CacheAccess {
             which: CacheKind::ICache,
             addr: pa,
-            hit: latency == self.icache.config().hit_latency,
+            hit: latency == Cache::HIT_LATENCY,
         });
         latency
     }
@@ -685,13 +670,13 @@ impl MachineState {
         }
         .map_err(|e| Self::mem_trap(AccessKind::Read, e))?;
         let latency = if pa >= MMIO_BASE {
-            self.mmio_latency
+            MMIO_LATENCY
         } else {
             let latency = self.dcache.access(pa);
             self.trace.emit(EventKind::CacheAccess {
                 which: CacheKind::DCache,
                 addr: pa,
-                hit: latency == self.dcache.config().hit_latency,
+                hit: latency == Cache::HIT_LATENCY,
             });
             latency
         };
@@ -711,13 +696,13 @@ impl MachineState {
         }
         .map_err(|e| Self::mem_trap(AccessKind::Write, e))?;
         let latency = if pa >= MMIO_BASE {
-            self.mmio_latency
+            MMIO_LATENCY
         } else {
             let latency = self.dcache.access(pa);
             self.trace.emit(EventKind::CacheAccess {
                 which: CacheKind::DCache,
                 addr: pa,
-                hit: latency == self.dcache.config().hit_latency,
+                hit: latency == Cache::HIT_LATENCY,
             });
             latency
         };
@@ -726,13 +711,13 @@ impl MachineState {
 
     /// Physical (MMU-bypassing) word load for `mpld`. Never allocates in
     /// the data cache (paper §2: MRAM/physical paths avoid cache side
-    /// effects); costs [`MachineState::phys_latency`].
+    /// effects); costs `PHYS_LATENCY`.
     pub fn phys_load(&mut self, pa: u32) -> Result<(u32, u32), Trap> {
         let value = self
             .bus
             .read_u32(pa)
             .map_err(|e| Self::mem_trap(AccessKind::Read, e))?;
-        Ok((value, self.phys_latency))
+        Ok((value, PHYS_LATENCY))
     }
 
     /// Physical word store for `mpst`.
@@ -740,7 +725,7 @@ impl MachineState {
         self.bus
             .write_u32(pa, value)
             .map_err(|e| Self::mem_trap(AccessKind::Write, e))?;
-        Ok(self.phys_latency)
+        Ok(PHYS_LATENCY)
     }
 }
 

@@ -11,7 +11,6 @@ fn perfect() -> CacheConfig {
     CacheConfig {
         size_bytes: 64 * 1024,
         line_bytes: 32,
-        hit_latency: 1,
         miss_penalty: 0,
     }
 }
@@ -215,7 +214,6 @@ fn dcache_miss_stalls_do_not_reorder() {
             dcache: CacheConfig {
                 size_bytes: 64,
                 line_bytes: 32,
-                hit_latency: 1,
                 miss_penalty: 13,
             },
             ram_bytes: 1 << 20,

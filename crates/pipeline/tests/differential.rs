@@ -161,13 +161,11 @@ fn config() -> CoreConfig {
         icache: CacheConfig {
             size_bytes: 1024,
             line_bytes: 16,
-            hit_latency: 1,
             miss_penalty: 7,
         },
         dcache: CacheConfig {
             size_bytes: 512,
             line_bytes: 16,
-            hit_latency: 1,
             miss_penalty: 11,
         },
         ram_bytes: 1 << 17,

@@ -10,7 +10,6 @@ fn perfect_cache() -> CacheConfig {
     CacheConfig {
         size_bytes: 64 * 1024,
         line_bytes: 32,
-        hit_latency: 1,
         miss_penalty: 0,
     }
 }
@@ -122,7 +121,6 @@ fn icache_miss_stalls_fetch() {
             icache: CacheConfig {
                 size_bytes: 256,
                 line_bytes: 4, // every fetch its own line -> every fetch misses once
-                hit_latency: 1,
                 miss_penalty: 10,
             },
             dcache: perfect_cache(),
@@ -410,7 +408,6 @@ fn trap_loop_without_retirement_times_out_on_both_engines() {
 /// `ticks`. Returns whether the flip landed and how the run halted.
 fn mul_with_ex_mem_flip(ticks: u32) -> (bool, Option<HaltReason>) {
     let mut core = ideal_core();
-    assert_eq!(CoreConfig::default().mul_latency, 2);
     load_asm(&mut core, "li a1, 3\n li a2, 5\n mul a0, a1, a2\n ebreak");
     for _ in 0..ticks {
         core.step();
@@ -430,16 +427,34 @@ fn held_and_result_latches_are_injectable() {
     assert_eq!(mul_with_ex_mem_flip(7), (true, flipped));
 }
 
-#[test]
-fn division_latency_charged() {
+/// Extra cycles `op a2, a0, a1` costs over an `add` on the ideal core,
+/// after checking the result it writes.
+fn extra_ex_cycles(op: &str, want: u32) -> u64 {
     let mut fast = ideal_core();
     run_asm(&mut fast, "li a0, 100\n li a1, 7\n add a2, a0, a1\n ebreak");
     let mut slow = ideal_core();
-    run_asm(&mut slow, "li a0, 100\n li a1, 7\n div a2, a0, a1\n ebreak");
-    assert_eq!(slow.state.regs.get(Reg::A2), 14);
+    run_asm(
+        &mut slow,
+        &format!("li a0, 100\n li a1, 7\n {op} a2, a0, a1\n ebreak"),
+    );
+    assert_eq!(slow.state.regs.get(Reg::A2), want);
+    slow.state.perf.cycles - fast.state.perf.cycles
+}
+
+#[test]
+fn multiply_latency_charged() {
     assert_eq!(
-        slow.state.perf.cycles,
-        fast.state.perf.cycles + u64::from(CoreConfig::default().div_latency),
-        "div should cost its configured extra latency"
+        extra_ex_cycles("mul", 700),
+        2,
+        "mul costs 2 extra EX cycles"
+    );
+}
+
+#[test]
+fn division_latency_charged() {
+    assert_eq!(
+        extra_ex_cycles("div", 14),
+        16,
+        "div costs 16 extra EX cycles"
     );
 }

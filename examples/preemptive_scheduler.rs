@@ -23,10 +23,7 @@ const FRAMES: [(u32, u32); 2] = [(0x3_0000, 0x3_8000), (0x3_4000, 0x3_C000)];
 fn main() {
     let mut core = sched::install(MetalBuilder::new())
         .build_core(CoreConfig {
-            tlb: metal_mem::TlbConfig {
-                entries: 64,
-                keys: 16,
-            },
+            tlb: metal_mem::TlbConfig { entries: 64 },
             ..CoreConfig::default()
         })
         .expect("scheduler mroutines verify");

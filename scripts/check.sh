@@ -38,7 +38,7 @@ for f in examples/mcode/*.s; do
     target/release/mlint --deny-warnings "$f"
 done
 
-echo "==> msim smoke (both engines, address range)"
+echo "==> msim smoke (both engines, address range, watchdog)"
 # A two-instruction image exits with its ebreak code on either engine,
 # and an address beyond 32 bits gets the usage error (exit 1) instead
 # of being truncated to one that runs.
@@ -58,6 +58,16 @@ expect_exit 42 --engine pipeline
 expect_exit 42 --engine interp
 expect_exit 1 --base 0x100000000
 expect_exit 1 --entry 0x100000000
+# An image that never retires (an empty file: the zero word at 0 traps
+# back to mtvec 0 forever) stops at the watchdog's first 100,000-cycle
+# window, not at the default 100,000,000-cycle --max-cycles.
+: > "$out/empty.bin"
+perf=$(target/release/msim "$out/empty.bin" --perf 2>&1 || true)
+cycles=$(sed -n 's/^engine .* | cycles \([0-9]*\) .*/\1/p' <<< "$perf")
+if [[ -z $cycles || $cycles -gt 100000 ]]; then
+    echo "msim on an image that never retires ran ${cycles:-?} cycles, expected at most 100000"
+    exit 1
+fi
 rm -r "$out"
 
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
@@ -109,6 +119,12 @@ if [[ "${CHECK_FAULT:-0}" == "1" ]]; then
         diff "tests/golden/mfault_seed7_parity_mixed_$engine.json" "$out/$engine-parity.json"
     done
     rm -r "$out"
+    # A correction floor is never met by a campaign that evaluated no
+    # case.
+    if target/release/mfault --cases 0 --min-corrected-pct 95 > /dev/null 2>&1; then
+        echo "mfault --cases 0 passed --min-corrected-pct on zero evidence"
+        exit 1
+    fi
     # The harness itself must not perturb state.
     target/release/mfault --seed 7 --cases 25 --zero-fault --workload fuzz
     # The latch, cache, TLB and guest-register sites must also give

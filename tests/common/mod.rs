@@ -17,7 +17,8 @@ use metal_pipeline::{Core, Engine, HaltReason, Interp};
 
 /// Cycle budget for differential runs on the pipelined core.
 pub const CORE_LIMIT: u64 = 10_000_000;
-/// Step budget for differential runs on the interpreter.
+/// Cycle budget for differential runs on the interpreter, which executes
+/// one instruction every cycle and so needs fewer than the pipelined core.
 pub const INTERP_LIMIT: u64 = 5_000_000;
 
 /// Assembles a guest program against address 0.
