@@ -34,16 +34,22 @@
 //! halt reason, RAM and MRAM data) against golden, because a recovered
 //! run legitimately executes extra (recovery) instructions; and
 //! [`arch::FULL`], which adds Metal registers, cycles, `instret` and
-//! the ASID, for `--zero-fault` reruns. The snapshot, each restore and
-//! each digest cost the RAM pages the victim wrote, not the size of
-//! RAM, so a case costs mostly the victim build and the engine
-//! construction.
+//! the ASID, for `--zero-fault` reruns.
+//!
+//! Each worker keeps one machine for the whole campaign, as `mfuzz`
+//! does: a case rewinds it to its blank machine state, installs the
+//! case's Metal extension and loads the victim, so no case constructs
+//! an engine or allocates RAM. The loop victim's extension depends
+//! only on the configuration and is built once per campaign
+//! (`workload::Victims`). The blank restore, the pristine snapshot, each
+//! rewind and each digest cost the RAM pages the victim wrote, not the
+//! size of RAM.
 
 use crate::fault::{FaultKind, FaultSpec, CACHE_DSIDE};
-use crate::workload;
+use crate::workload::Victims;
 use metal_core::arch::{self, Machine};
-use metal_core::{EccMode, Metal};
-use metal_pipeline::state::{CoreConfig, TranslationMode};
+use metal_core::{EccMode, Metal, MetalConfig};
+use metal_pipeline::state::{CoreConfig, MachineSnapshot, TranslationMode};
 use metal_pipeline::{Core, Engine, HaltReason, Interp};
 use metal_trace::FaultSite;
 use metal_util::json::Json;
@@ -433,13 +439,14 @@ pub fn run(cfg: &CampaignConfig) -> Report {
     }
 }
 
-fn run_typed<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig) -> Report {
+fn run_typed<E: Engine<Hooks = Metal> + Send>(cfg: &CampaignConfig) -> Report {
+    let victims = Victims::new(cfg);
     let (_, outcomes) = shard::run(
         cfg.jobs,
         Some(cfg.cases),
         None,
-        || (),
-        |(), i| Some(run_case::<E>(cfg, i)),
+        || None,
+        |worker: &mut Option<Worker<E>>, i| Some(run_case(cfg, &victims, worker, i)),
     );
     let zero_fault_divergences = outcomes
         .iter()
@@ -448,6 +455,37 @@ fn run_typed<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig) -> Report {
     Report {
         outcomes,
         zero_fault_divergences,
+    }
+}
+
+/// A campaign worker's one machine, kept for the whole campaign, and a
+/// snapshot of its machine state as constructed.
+struct Worker<E> {
+    engine: E,
+    blank: MachineSnapshot,
+}
+
+impl<E: Engine<Hooks = Metal>> Worker<E> {
+    fn new() -> Worker<E> {
+        let engine = E::new(CoreConfig::default(), Metal::new(MetalConfig::default()));
+        Worker {
+            blank: engine.state().snapshot(),
+            engine,
+        }
+    }
+
+    /// Rewinds the machine to its blank state, at the cost of the RAM
+    /// pages the last case wrote, and loads a victim into it: the state
+    /// a freshly constructed engine would have after the same load.
+    fn load(&mut self, metal: Metal, soft_tlb: bool, program: &[u8]) -> &mut E {
+        let engine = &mut self.engine;
+        engine.state_mut().restore(&self.blank);
+        *engine.hooks_mut() = metal;
+        if soft_tlb {
+            engine.state_mut().translation = TranslationMode::SoftTlb;
+        }
+        engine.load_segments([(0u32, program)], 0);
+        engine
     }
 }
 
@@ -542,17 +580,19 @@ fn run_faulty<E: Engine<Hooks = Metal>>(engine: &mut E, spec: &FaultSpec) {
     }
 }
 
-fn run_case<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig, index: u64) -> CaseOutcome {
+fn run_case<E: Engine<Hooks = Metal>>(
+    cfg: &CampaignConfig,
+    victims: &Victims,
+    worker: &mut Option<Worker<E>>,
+    index: u64,
+) -> CaseOutcome {
     let seed = case_seed(cfg.seed, index);
     let mut rng = Rng::new(seed);
-    let Ok(built) = workload::build(cfg, seed) else {
+    let Ok(built) = victims.build(cfg, seed) else {
         return skipped(index);
     };
-    let mut engine = E::new(CoreConfig::default(), built.metal);
-    if built.soft_tlb {
-        engine.state_mut().translation = TranslationMode::SoftTlb;
-    }
-    engine.load_segments([(0u32, built.program.as_slice())], 0);
+    let machine = worker.get_or_insert_with(Worker::new);
+    let engine = machine.load(built.metal, built.soft_tlb, &built.program);
     let pristine = engine.snapshot();
 
     let golden_halt = engine.run_fuel(FUEL);
@@ -560,16 +600,16 @@ fn run_case<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig, index: u64) -> CaseO
         return skipped(index);
     }
     let golden_instret = engine.state().perf.instret;
-    let golden = arch::digest(Machine::of(&engine), arch::OUTCOME);
+    let golden = arch::digest(Machine::of(engine), arch::OUTCOME);
 
     if cfg.zero_fault {
         // No injection: rewinding and re-running must reproduce the
         // golden run *exactly*, including timing and Metal scratch
         // state — proof the harness itself perturbs nothing.
-        let golden_full = arch::digest(Machine::of(&engine), arch::FULL);
+        let golden_full = arch::digest(Machine::of(engine), arch::FULL);
         engine.restore(&pristine);
         let _ = engine.run_fuel(FUEL);
-        let class = if arch::digest(Machine::of(&engine), arch::FULL) == golden_full {
+        let class = if arch::digest(Machine::of(engine), arch::FULL) == golden_full {
             Classification::Masked
         } else {
             Classification::Sdc
@@ -587,7 +627,7 @@ fn run_case<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig, index: u64) -> CaseO
     let spec = draw_spec(
         &mut rng,
         cfg,
-        &engine,
+        engine,
         &built.code_words,
         &built.data_words,
         &built.mregs,
@@ -599,8 +639,8 @@ fn run_case<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig, index: u64) -> CaseO
 
     engine.restore(&pristine);
     engine.step_insns(inject_at);
-    let applied = crate::fault::apply(&mut engine, &spec);
-    run_faulty(&mut engine, &spec);
+    let applied = crate::fault::apply(engine, &spec);
+    run_faulty(engine, &spec);
 
     let halt = engine
         .state()
@@ -624,19 +664,19 @@ fn run_case<E: Engine<Hooks = Metal>>(cfg: &CampaignConfig, index: u64) -> CaseO
                 let _ = engine.run_fuel(FUEL);
             }
             FaultKind::StuckAt { .. } => {
-                if crate::fault::apply(&mut engine, &spec) {
-                    run_faulty(&mut engine, &spec);
+                if crate::fault::apply(engine, &spec) {
+                    run_faulty(engine, &spec);
                 } else {
                     let _ = engine.run_fuel(FUEL);
                 }
             }
         }
-        if arch::digest(Machine::of(&engine), arch::OUTCOME) == golden {
+        if arch::digest(Machine::of(engine), arch::OUTCOME) == golden {
             Classification::CorrectedRollback
         } else {
             Classification::Uncorrectable
         }
-    } else if arch::digest(Machine::of(&engine), arch::OUTCOME) == golden {
+    } else if arch::digest(Machine::of(engine), arch::OUTCOME) == golden {
         if machine_checks > 0 {
             Classification::CorrectedRetry
         } else {

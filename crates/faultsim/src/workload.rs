@@ -53,6 +53,7 @@ mexit";
 
 /// A built campaign victim plus the live-site map injection draws
 /// from.
+#[derive(Clone)]
 pub struct Built {
     /// The Metal extension (MRAM, registers, delegations, ECC).
     pub metal: Metal,
@@ -77,16 +78,54 @@ pub struct Built {
 /// (possible for grammar-generated cases; the campaign counts these
 /// as skipped).
 pub fn build(cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
-    match cfg.workload {
-        WorkloadKind::Loop => build_loop(cfg, seed),
-        WorkloadKind::Fuzz => build_fuzz(cfg, seed),
+    Victims::new(cfg).build(cfg, seed)
+}
+
+/// A campaign's victim source: what every case shares, built once
+/// from the configuration.
+///
+/// The loop victim's Metal extension and live-site map depend only on
+/// the configuration (ECC scheme, recovery); a case's seed picks only
+/// the guest's iteration count. So the loop extension is built once
+/// and cloned into each case. Fuzz victims differ in everything and
+/// are built per case.
+pub(crate) struct Victims {
+    /// The loop victim with no guest program yet; `None` for fuzz
+    /// campaigns.
+    loop_template: Option<Result<Built, String>>,
+}
+
+impl Victims {
+    /// Builds the part of every case's victim that `cfg` alone fixes.
+    pub(crate) fn new(cfg: &CampaignConfig) -> Victims {
+        Victims {
+            loop_template: (cfg.workload == WorkloadKind::Loop).then(|| build_loop_metal(cfg)),
+        }
+    }
+
+    /// Builds the victim for the case with `seed`.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`].
+    pub(crate) fn build(&self, cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
+        match &self.loop_template {
+            Some(template) => {
+                let mut built = template.clone()?;
+                built.program = assemble(&loop_guest(seed))?;
+                Ok(built)
+            }
+            None => build_fuzz(cfg, seed),
+        }
     }
 }
 
+/// Builds the Metal extension of a victim, adding the recovery
+/// mroutine when `cfg` asks for it, and the live-site map. The guest
+/// program is left empty.
 fn finish(
     builder: MetalBuilder,
     cfg: &CampaignConfig,
-    guest: &str,
     soft_tlb: bool,
     data_words: Range<u32>,
     mregs: Vec<u32>,
@@ -115,10 +154,9 @@ fn finish(
     } else {
         (metal.config().mram.code_bytes - metal.mram.code_free()) / 4
     };
-    let words = metal_asm::assemble_at(guest, 0).map_err(|e| format!("guest assembly: {e}"))?;
     Ok(Built {
         metal,
-        program: words.iter().flat_map(|w| w.to_le_bytes()).collect(),
+        program: Vec::new(),
         soft_tlb,
         code_words: 0..live_end.max(1),
         data_words,
@@ -126,11 +164,25 @@ fn finish(
     })
 }
 
-fn build_loop(cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
+/// Assembles a guest program image at address 0.
+fn assemble(guest: &str) -> Result<Vec<u8>, String> {
+    let words = metal_asm::assemble_at(guest, 0).map_err(|e| format!("guest assembly: {e}"))?;
+    Ok(words.iter().flat_map(|w| w.to_le_bytes()).collect())
+}
+
+fn build_loop_metal(cfg: &CampaignConfig) -> Result<Built, String> {
+    let builder = MetalBuilder::new().routine(0, "probe", PROBE_SRC);
+    // Live data words: the probe re-reads words 0 and 1 each
+    // iteration; word 2 is its store target (a fault there is
+    // overwritten, not read — excluded). Live mreg: only m1 is read.
+    finish(builder, cfg, false, 0..2, vec![1])
+}
+
+fn loop_guest(seed: u64) -> String {
     // Vary the iteration count a little per case so campaigns sample
     // different injection windows, but keep every site live to the end.
     let iters = 24 + (Rng::new(seed).below(16)) as u32;
-    let guest = format!(
+    format!(
         "li s0, 0\n\
          li s1, {iters}\n\
          loop:\n\
@@ -139,23 +191,19 @@ fn build_loop(cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
          blt s0, s1, loop\n\
          addi a0, s0, 0\n\
          ebreak"
-    );
-    let builder = MetalBuilder::new().routine(0, "probe", PROBE_SRC);
-    // Live data words: the probe re-reads words 0 and 1 each
-    // iteration; word 2 is its store target (a fault there is
-    // overwritten, not read — excluded). Live mreg: only m1 is read.
-    finish(builder, cfg, &guest, false, 0..2, vec![1])
+    )
 }
 
 fn build_fuzz(cfg: &CampaignConfig, seed: u64) -> Result<Built, String> {
     let case = metal_fuzz::grammar::generate(seed);
     let data_words = 0..16; // The grammar's mld/mst offsets stay below 64 bytes.
-    finish(
+    let mut built = finish(
         case.metal_builder(),
         cfg,
-        &case.guest,
         case.soft_tlb,
         data_words,
         (0..32).collect(),
-    )
+    )?;
+    built.program = assemble(&case.guest)?;
+    Ok(built)
 }

@@ -124,13 +124,11 @@ impl Cache {
         self.tags.fill(None);
     }
 
-    /// Hit rate over the lifetime of the cache.
+    /// Hit rate over the lifetime of the cache; `None` before the
+    /// first access, when there is nothing to divide by.
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            return 0.0;
-        }
-        1.0 - (self.misses as f64 / self.accesses as f64)
+    pub fn hit_rate(&self) -> Option<f64> {
+        (self.accesses > 0).then(|| 1.0 - (self.misses as f64 / self.accesses as f64))
     }
 }
 
@@ -182,7 +180,8 @@ mod tests {
         c.access(32);
         assert_eq!(c.accesses, 4);
         assert_eq!(c.misses, 2);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-9);
+        assert!((c.hit_rate().unwrap() - 0.5).abs() < 1e-9);
+        assert_eq!(cache().hit_rate(), None, "no access, no rate");
     }
 
     #[test]

@@ -469,9 +469,10 @@ impl MachineState {
     }
 
     /// The unified metrics view: performance counters, stall breakdown,
-    /// and cache/TLB statistics in one snapshot. Extensions append their
-    /// own metrics (e.g. Metal's per-mroutine transition latencies) to
-    /// the returned snapshot.
+    /// and cache/TLB statistics in one snapshot. A ratio gauge (`cpi`,
+    /// the hit rates) is left out when its denominator is 0. Extensions
+    /// append their own metrics (e.g. Metal's per-mroutine transition
+    /// latencies) to the returned snapshot.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
@@ -491,10 +492,14 @@ impl MachineState {
         snap.set_counter("metal.entries", p.metal_entries);
         snap.set_counter("icache.accesses", self.icache.accesses);
         snap.set_counter("icache.misses", self.icache.misses);
-        snap.set_gauge("icache.hit_rate", self.icache.hit_rate());
+        if let Some(rate) = self.icache.hit_rate() {
+            snap.set_gauge("icache.hit_rate", rate);
+        }
         snap.set_counter("dcache.accesses", self.dcache.accesses);
         snap.set_counter("dcache.misses", self.dcache.misses);
-        snap.set_gauge("dcache.hit_rate", self.dcache.hit_rate());
+        if let Some(rate) = self.dcache.hit_rate() {
+            snap.set_gauge("dcache.hit_rate", rate);
+        }
         snap.set_counter("tlb.lookups", self.tlb.lookups);
         snap.set_counter("tlb.hits", self.tlb.hits);
         if self.tlb.lookups > 0 {

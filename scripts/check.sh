@@ -102,21 +102,27 @@ if [[ "${CHECK_FAULT:-0}" == "1" ]]; then
     # Fixed-seed SECDED campaign on the live-site workload: every
     # injected single-bit MRAM/MReg fault must be detected and
     # corrected, with zero silent data corruption, on both engines,
-    # and the classification itself must not move.
+    # and the classification itself must not move. Each worker reuses
+    # one machine for all its cases, so --jobs 1 (one machine for all
+    # 100 cases) and --jobs 2 give each machine a different history;
+    # both must match the goldens.
     out=$(mktemp -d)
     for engine in pipeline interp; do
-        target/release/mfault --seed 7 --cases 100 --jobs 2 --engine "$engine" \
-            --workload loop --ecc secded --sites mram-code,mram-data,mreg \
-            --kind transient --max-sdc 0 --min-corrected-pct 95 \
-            --json "$out/$engine.json"
-        diff "tests/golden/mfault_seed7_loop_$engine.json" "$out/$engine.json"
-        # Parity and stuck-at paths: golden-copy scrubs, syndrome-only
-        # scrubs that fall back to rollback, and stuck MRegs that
-        # survive it must keep their classification.
-        target/release/mfault --seed 7 --cases 100 --jobs 2 --engine "$engine" \
-            --workload loop --ecc parity --kind mixed --sites mram-code,mram-data,mreg \
-            --json "$out/$engine-parity.json" > /dev/null
-        diff "tests/golden/mfault_seed7_parity_mixed_$engine.json" "$out/$engine-parity.json"
+        for jobs in 1 2; do
+            target/release/mfault --seed 7 --cases 100 --jobs "$jobs" --engine "$engine" \
+                --workload loop --ecc secded --sites mram-code,mram-data,mreg \
+                --kind transient --max-sdc 0 --min-corrected-pct 95 \
+                --json "$out/$engine.json"
+            diff "tests/golden/mfault_seed7_loop_$engine.json" "$out/$engine.json"
+            # Parity and stuck-at paths: golden-copy scrubs,
+            # syndrome-only scrubs that fall back to rollback, and
+            # stuck MRegs that survive it must keep their
+            # classification.
+            target/release/mfault --seed 7 --cases 100 --jobs "$jobs" --engine "$engine" \
+                --workload loop --ecc parity --kind mixed --sites mram-code,mram-data,mreg \
+                --json "$out/$engine-parity.json" > /dev/null
+            diff "tests/golden/mfault_seed7_parity_mixed_$engine.json" "$out/$engine-parity.json"
+        done
     done
     rm -r "$out"
     # A correction floor is never met by a campaign that evaluated no

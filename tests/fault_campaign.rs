@@ -40,7 +40,25 @@ fn campaign_is_deterministic_across_jobs() {
         workload: WorkloadKind::Fuzz,
         ..smoke_config()
     };
-    for mut cfg in [smoke_config(), pipeline_only] {
+    // Each worker reuses one machine for all its cases, and each
+    // `jobs` value hands a worker a different sequence of cases. Here
+    // consecutive cases differ in everything the reused machine must
+    // reset: soft-TLB and bare fuzz guests, transient and stuck-at
+    // faults, on the interpreter.
+    let reused_interp = CampaignConfig {
+        sites: vec![
+            FaultSite::MramCode,
+            FaultSite::MramData,
+            FaultSite::Mreg,
+            FaultSite::GuestReg,
+            FaultSite::Tlb,
+        ],
+        kind: KindChoice::Mixed,
+        engine: EngineChoice::Interp,
+        workload: WorkloadKind::Fuzz,
+        ..smoke_config()
+    };
+    for mut cfg in [smoke_config(), pipeline_only, reused_interp] {
         let baseline = run(&cfg).to_json(&cfg).to_string_compact();
         for jobs in [1, 4] {
             cfg.jobs = jobs;

@@ -235,3 +235,19 @@ fn metrics_snapshot_is_complete() {
         Some(40.0)
     );
 }
+
+#[test]
+fn metrics_snapshot_omits_rates_with_nothing_to_divide() {
+    // No load or store: the D-cache and TLB see no access, so their
+    // hit rates are left out rather than reported as 0 (a 0% hit rate
+    // would be a real measurement).
+    let words = metal_asm::assemble_at("li a0, 7\nebreak", 0).expect("guest assembles");
+    let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let core = run(build_metal(), &image, None);
+    let snap = core.state.metrics_snapshot();
+    assert_eq!(snap.counter("dcache.accesses"), Some(0));
+    assert_eq!(snap.gauge("dcache.hit_rate"), None);
+    assert_eq!(snap.gauge("tlb.hit_rate"), None);
+    assert!(snap.counter("icache.accesses") > Some(0));
+    assert!(snap.gauge("icache.hit_rate").is_some());
+}
