@@ -265,13 +265,33 @@ const fn build_data_positions() -> [u8; 32] {
     table
 }
 
-/// The 6 Hamming check bits of a data word.
+/// `CHECK_MASKS[k]` selects the data bits whose codeword position has
+/// bit `k` set: check bit `k` is the parity of those bits.
+const CHECK_MASKS: [u32; 6] = build_check_masks();
+
+const fn build_check_masks() -> [u32; 6] {
+    let mut masks = [0u32; 6];
+    let mut i = 0;
+    while i < 32 {
+        let mut k = 0;
+        while k < 6 {
+            if DATA_POS[i] >> k & 1 == 1 {
+                masks[k] |= 1 << i;
+            }
+            k += 1;
+        }
+        i += 1;
+    }
+    masks
+}
+
+/// The 6 Hamming check bits of a data word: six masked parities, the
+/// XOR tree a hardware encoder would use.
+#[inline]
 fn hamming_checks(word: u32) -> u8 {
     let mut c = 0u8;
-    for (i, &pos) in DATA_POS.iter().enumerate() {
-        if word >> i & 1 == 1 {
-            c ^= pos;
-        }
+    for (k, &mask) in CHECK_MASKS.iter().enumerate() {
+        c |= (((word & mask).count_ones() & 1) as u8) << k;
     }
     c
 }
@@ -353,6 +373,82 @@ mod tests {
                 } => assert_ne!(syndrome & 0x80, 0, "bits {a},{b}"),
                 other => panic!("double flip {a},{b} misclassified: {other:?}"),
             }
+        }
+    }
+
+    /// The original encoder, kept as the reference: XOR together the
+    /// codeword positions of the set data bits.
+    fn hamming_checks_by_position(word: u32) -> u8 {
+        let mut c = 0u8;
+        for (i, &pos) in DATA_POS.iter().enumerate() {
+            if word >> i & 1 == 1 {
+                c ^= pos;
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn masked_parities_match_the_positional_encoder() {
+        // Both encoders are linear over GF(2), so agreement on zero and
+        // on the 32 one-bit words implies agreement on every word; the
+        // random words check that implication.
+        assert_eq!(hamming_checks(0), 0);
+        for bit in 0..32 {
+            let w = 1u32 << bit;
+            assert_eq!(
+                hamming_checks(w),
+                hamming_checks_by_position(w),
+                "bit {bit}"
+            );
+        }
+        let mut rng = Rng::new(0xECC);
+        for _ in 0..1_000_000 {
+            let w = rng.next_u32();
+            assert_eq!(
+                hamming_checks(w),
+                hamming_checks_by_position(w),
+                "{w:#010x}"
+            );
+        }
+    }
+
+    #[test]
+    fn secded_check_bytes_are_pinned() {
+        for (word, check) in [
+            (0x0000_0000, 0x00),
+            (0x0000_0001, 0x43),
+            (0x8000_0000, 0x26),
+            (0xFFFF_FFFF, 0x18),
+            (0xDEAD_BEEF, 0x63),
+            (0x1234_5678, 0x6D),
+            (0xA5A5_A5A5, 0x72),
+            (0x0000_FFFF, 0x1E),
+        ] {
+            assert_eq!(EccMode::Secded.encode(word), check, "{word:#010x}");
+        }
+    }
+
+    #[test]
+    fn secded_check_bit_flips_leave_the_word_intact() {
+        let mut rng = Rng::new(4);
+        for _ in 0..50 {
+            let w = rng.next_u32();
+            let check = EccMode::Secded.encode(w);
+            for bit in 0..7 {
+                match EccMode::Secded.check(w, check ^ (1 << bit)) {
+                    EccCheck::Error {
+                        corrected: Some(fixed),
+                        syndrome,
+                    } => {
+                        assert_eq!(fixed, w, "check bit {bit}");
+                        assert_eq!(syndrome & 0x80, 0, "check bit {bit}");
+                    }
+                    other => panic!("check bit {bit} flip misclassified: {other:?}"),
+                }
+            }
+            // Bit 7 of the check byte is not stored.
+            assert_eq!(EccMode::Secded.check(w, check ^ 0x80), EccCheck::Clean);
         }
     }
 

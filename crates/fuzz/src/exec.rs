@@ -2,11 +2,12 @@
 //!
 //! A [`CaseRunner`] owns a pipelined core (decode cache on), a second
 //! pipelined core (decode cache off), and the reference interpreter,
-//! each constructed **once**. Between cases the machines are rewound
-//! with [`metal_pipeline::Engine::restore`] — a copy of the RAM pages
-//! the case wrote plus field copies, microseconds instead of a
-//! rebuild — and only the per-case Metal extension (mroutines,
-//! delegations) is constructed fresh.
+//! each constructed **once**. Between cases each machine's state is
+//! rewound to its blank snapshot with [`MachineState::restore`] — a
+//! copy of the RAM pages the case wrote plus field copies,
+//! microseconds instead of a rebuild — and only the per-case Metal
+//! extension (mroutines, delegations) is constructed fresh and
+//! installed once per engine.
 //!
 //! The differential oracle compares the architectural state that
 //! [`metal_core::arch`] defines — halt, registers, CSRs, ASID,
@@ -27,8 +28,8 @@ use metal_core::Metal;
 use metal_isa::insn::{Insn, MulOp};
 use metal_isa::DispatchTag;
 use metal_pipeline::hooks::{CustomExec, DecodeOutcome, TrapDisposition, TrapEvent};
-use metal_pipeline::state::{CoreConfig, MachineState, TranslationMode};
-use metal_pipeline::{Core, Engine, EngineSnapshot, HaltReason, Hooks, Interp, Trap};
+use metal_pipeline::state::{CoreConfig, MachineSnapshot, MachineState, TranslationMode};
+use metal_pipeline::{Core, Engine, HaltReason, Hooks, Interp, Trap};
 use metal_trace::{Event, TraceConfig, TraceHandle};
 
 /// Cycle budget per case on the pipelined cores.
@@ -227,15 +228,18 @@ pub struct CaseResult {
 #[derive(Clone, Debug)]
 pub struct BuildError(pub String);
 
-/// Three persistent engines plus their pristine snapshots.
+/// Three persistent engines plus snapshots of their blank states.
 pub struct CaseRunner {
-    core_dc: Core<FuzzHooks>,
-    core_nodc: Core<FuzzHooks>,
-    interp: Interp<FuzzHooks>,
-    pristine_dc: EngineSnapshot<FuzzHooks>,
-    pristine_nodc: EngineSnapshot<FuzzHooks>,
-    pristine_interp: EngineSnapshot<FuzzHooks>,
+    core_dc: Rig<Core<FuzzHooks>>,
+    core_nodc: Rig<Core<FuzzHooks>>,
+    interp: Rig<Interp<FuzzHooks>>,
     bug: BugKind,
+}
+
+/// One persistent engine and a snapshot of its machine state as built.
+struct Rig<E> {
+    engine: E,
+    blank: MachineSnapshot,
 }
 
 /// RAM size of the fuzzing machines. Generated programs touch only
@@ -255,56 +259,34 @@ fn fuzz_config(decode_cache: bool) -> CoreConfig {
     }
 }
 
-fn empty_hooks() -> FuzzHooks {
-    FuzzHooks::new(
-        Metal::new(metal_core::MetalConfig::default()),
-        BugKind::None,
-    )
-}
-
-impl CaseRunner {
-    /// Builds the three machines and their pristine snapshots. `bug` is
-    /// applied to the pipelined cores only (the interpreter stays the
-    /// trusted reference).
-    #[must_use]
-    pub fn new(bug: BugKind) -> CaseRunner {
-        let core_dc = Core::new(fuzz_config(true), empty_hooks());
-        let core_nodc = Core::new(fuzz_config(false), empty_hooks());
-        let interp = Interp::new(fuzz_config(true), empty_hooks());
-        CaseRunner {
-            pristine_dc: core_dc.snapshot(),
-            pristine_nodc: core_nodc.snapshot(),
-            pristine_interp: interp.snapshot(),
-            core_dc,
-            core_nodc,
-            interp,
-            bug,
+impl<E: Engine<Hooks = FuzzHooks>> Rig<E> {
+    fn new(decode_cache: bool) -> Rig<E> {
+        let engine = E::new(
+            fuzz_config(decode_cache),
+            FuzzHooks::new(
+                Metal::new(metal_core::MetalConfig::default()),
+                BugKind::None,
+            ),
+        );
+        Rig {
+            blank: engine.state().snapshot(),
+            engine,
         }
     }
 
-    /// Builds the per-case Metal extension and assembles the guest.
-    fn prepare(case: &FuzzCase) -> Result<(Metal, Vec<u8>), BuildError> {
-        let (metal, palcode, _warnings) = case
-            .metal_builder()
-            .build()
-            .map_err(|e| BuildError(format!("metal build: {e:?}")))?;
-        debug_assert!(palcode.is_empty(), "fuzz cases use MRAM dispatch");
-        let words = metal_asm::assemble_at(&case.guest, 0)
-            .map_err(|e| BuildError(format!("guest assembly: {e}")))?;
-        let program = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        Ok((metal, program))
-    }
-
-    fn run_one<E: Engine<Hooks = FuzzHooks>>(
-        engine: &mut E,
-        pristine: &EngineSnapshot<FuzzHooks>,
+    /// Rewinds the machine to its blank state, installs the case's
+    /// Metal extension, and runs `program` from address 0 for at most
+    /// `limit` cycles.
+    fn run(
+        &mut self,
         metal: &Metal,
         bug: BugKind,
         soft_tlb: bool,
         program: &[u8],
         limit: u64,
     ) -> EngineRun {
-        engine.restore(pristine);
+        let engine = &mut self.engine;
+        engine.state_mut().restore(&self.blank);
         *engine.hooks_mut() = FuzzHooks::new(metal.clone(), bug);
         engine
             .state_mut()
@@ -315,6 +297,7 @@ impl CaseRunner {
         if soft_tlb {
             engine.state_mut().translation = TranslationMode::SoftTlb;
         }
+        // `load_segments` also sets the PC, clearing in-flight work.
         engine.load_segments([(0u32, program)], 0);
         let halt = Some(engine.run_fuel(limit));
         let state = engine.state();
@@ -337,37 +320,47 @@ impl CaseRunner {
             tags: hooks.tags,
         }
     }
+}
+
+impl CaseRunner {
+    /// Builds the three machines and their blank snapshots. `bug` is
+    /// applied to the pipelined cores only (the interpreter stays the
+    /// trusted reference).
+    #[must_use]
+    pub fn new(bug: BugKind) -> CaseRunner {
+        CaseRunner {
+            core_dc: Rig::new(true),
+            core_nodc: Rig::new(false),
+            interp: Rig::new(true),
+            bug,
+        }
+    }
+
+    /// Builds the per-case Metal extension and assembles the guest.
+    fn prepare(case: &FuzzCase) -> Result<(Metal, Vec<u8>), BuildError> {
+        let (metal, palcode, _warnings) = case
+            .metal_builder()
+            .build()
+            .map_err(|e| BuildError(format!("metal build: {e:?}")))?;
+        debug_assert!(palcode.is_empty(), "fuzz cases use MRAM dispatch");
+        let words = metal_asm::assemble_at(&case.guest, 0)
+            .map_err(|e| BuildError(format!("guest assembly: {e}")))?;
+        let program = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        Ok((metal, program))
+    }
 
     /// Runs one case on all three machines and applies both oracles.
     pub fn run(&mut self, case: &FuzzCase) -> Result<CaseResult, BuildError> {
         let (metal, program) = Self::prepare(case)?;
-        let core = Self::run_one(
-            &mut self.core_dc,
-            &self.pristine_dc,
-            &metal,
-            self.bug,
-            case.soft_tlb,
-            &program,
-            CORE_LIMIT,
-        );
-        let nodc = Self::run_one(
-            &mut self.core_nodc,
-            &self.pristine_nodc,
-            &metal,
-            self.bug,
-            case.soft_tlb,
-            &program,
-            CORE_LIMIT,
-        );
-        let interp = Self::run_one(
-            &mut self.interp,
-            &self.pristine_interp,
-            &metal,
-            BugKind::None,
-            case.soft_tlb,
-            &program,
-            INTERP_LIMIT,
-        );
+        let core = self
+            .core_dc
+            .run(&metal, self.bug, case.soft_tlb, &program, CORE_LIMIT);
+        let nodc = self
+            .core_nodc
+            .run(&metal, self.bug, case.soft_tlb, &program, CORE_LIMIT);
+        let interp = self
+            .interp
+            .run(&metal, BugKind::None, case.soft_tlb, &program, INTERP_LIMIT);
         let hang = [&core, &nodc, &interp]
             .iter()
             .any(|r| matches!(r.halt, None | Some(HaltReason::Timeout)));
@@ -388,9 +381,9 @@ impl CaseRunner {
     /// on the first mismatch.
     fn diff(&self, core: &EngineRun, nodc: &EngineRun, interp: &EngineRun) -> Option<String> {
         let (on, off, reference) = (
-            machine(&self.core_dc),
-            machine(&self.core_nodc),
-            machine(&self.interp),
+            machine(&self.core_dc.engine),
+            machine(&self.core_nodc.engine),
+            machine(&self.interp.engine),
         );
         // A Fatal stop is a simulator abort, not architectural behavior:
         // the pipeline abandons older in-flight instructions (they never

@@ -8,11 +8,12 @@
 # built from `git archive BASE_REF` under target/bench_compare/. Each
 # workload runs 10 pairs: both sides of pair i use seed i+1, and the
 # pairs alternate which side runs first. One row per workload and
-# metric shows the base and change medians with quartiles, their ratio
-# and a status: `unresolved` when the base's interquartile spread is
-# wider than the bound, `REGRESSED` when the change's median is worse
-# than the base's by more than the bound, `ok` otherwise. The rows go
-# to BENCH_perfbench.json.
+# metric shows the base and change medians with quartiles, their ratio,
+# the change's wins (the pairs in which it beats the base in the
+# metric's `better` direction) and a status: `unresolved` when the
+# base's interquartile spread is wider than the bound, `REGRESSED` when
+# the change's median is worse than the base's by more than the bound,
+# `ok` otherwise. The rows go to BENCH_perfbench.json.
 #
 # Exits non-zero on a REGRESSED row, and at once on a run that exits
 # non-zero, is not correct or has failed operations.
@@ -73,23 +74,28 @@ rows=$(for w in "${workloads[@]}"; do
             | .[$i] + (.[[$i + 1, length - 1] | min] - .[$i]) * ($h - $i);
         def stats: {median: q(0.5), q1: q(0.25), q3: q(0.75)};
         $spec[0].end_to_end[] as $m
-        | ([$base[].metrics[$m.name].value] | stats) as $b
-        | ([$change[].metrics[$m.name].value] | stats) as $c
+        | [$base[].metrics[$m.name].value] as $bv
+        | [$change[].metrics[$m.name].value] as $cv
+        | ($bv | stats) as $b
+        | ($cv | stats) as $c
         | ($c.median / $b.median) as $ratio
-        | {workload: $w, metric: $m.name, base: $b, change: $c, ratio: $ratio,
+        | [range($bv | length)
+           | select(if $m.better == "higher" then $cv[.] > $bv[.] else $cv[.] < $bv[.] end)]
+        | length as $wins
+        | {workload: $w, metric: $m.name, base: $b, change: $c, ratio: $ratio, wins: $wins,
            status: (if $b.q3 - $b.q1 > $m.bound * $b.median then "unresolved"
                     elif (if $m.better == "higher" then 1 - $ratio else $ratio - 1 end) > $m.bound
                     then "REGRESSED" else "ok" end)}'
 done | jq -s .)
 
-printf '%-8s %-18s %-30s %-30s %7s  %s\n' workload metric 'base median [q1, q3]' \
-    'change median [q1, q3]' ratio status
+printf '%-8s %-18s %-30s %-30s %7s %5s  %s\n' workload metric 'base median [q1, q3]' \
+    'change median [q1, q3]' ratio wins status
 jq -r '.[] | [.workload, .metric, .base.median, .base.q1, .base.q3,
-    .change.median, .change.q1, .change.q3, .ratio, .status] | @tsv' <<<"$rows" |
-    while IFS=$'\t' read -r w m bm b1 b3 cm c1 c3 ratio status; do
-        printf '%-8s %-18s %-30s %-30s %7.3f  %s\n' "$w" "$m" \
+    .change.median, .change.q1, .change.q3, .ratio, .wins, .status] | @tsv' <<<"$rows" |
+    while IFS=$'\t' read -r w m bm b1 b3 cm c1 c3 ratio wins status; do
+        printf '%-8s %-18s %-30s %-30s %7.3f %5s  %s\n' "$w" "$m" \
             "$(printf '%.4g [%.4g, %.4g]' "$bm" "$b1" "$b3")" \
-            "$(printf '%.4g [%.4g, %.4g]' "$cm" "$c1" "$c3")" "$ratio" "$status"
+            "$(printf '%.4g [%.4g, %.4g]' "$cm" "$c1" "$c3")" "$ratio" "$wins/$pairs" "$status"
     done
 
 # One row per line, so a diff of the file reads row by row.
