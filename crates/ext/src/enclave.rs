@@ -170,12 +170,6 @@ pub fn install(builder: MetalBuilder) -> MetalBuilder {
         .routine(entries::MEASURE, "enclave_measure", &measure_src())
 }
 
-/// Host-side oracle for the measurement.
-#[must_use]
-pub fn expected_measurement(words: &[u32]) -> u32 {
-    words.iter().fold(0u32, |m, &w| m.rotate_left(1) ^ w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +177,11 @@ mod tests {
     use metal_mem::tlb::Pte;
     use metal_pipeline::state::{CoreConfig, TranslationMode};
     use metal_pipeline::{Core, Engine, HaltReason, TrapCause};
+
+    /// Host-side oracle for the measurement.
+    fn expected_measurement(words: &[u32]) -> u32 {
+        words.iter().fold(0u32, |m, &w| m.rotate_left(1) ^ w)
+    }
 
     /// Enclave page: VA == PA for simplicity.
     const ENC_PAGE: u32 = 0x0060_0000 & 0xFFFFF000;

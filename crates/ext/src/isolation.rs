@@ -124,12 +124,6 @@ pub fn install(builder: MetalBuilder) -> MetalBuilder {
         .routine(entries::VAULT_USE, "vault_use", &vault_use_src())
 }
 
-/// The digest the vault computes, for test oracles.
-#[must_use]
-pub fn expected_digest(secret: u32, msg: u32) -> u32 {
-    (secret ^ msg).rotate_left(5) ^ secret
-}
-
 /// Host-side helper: identity-map `pages` starting at VA 0 so a guest
 /// can run under `SoftTlb` with the vault page protected.
 pub fn identity_map_code(core: &mut Core<metal_core::Metal>, pages: u32) {
@@ -152,6 +146,11 @@ mod tests {
 
     const VAULT_VA: u32 = 0x0080_0000;
     const VAULT_PA: u32 = 0x4_0000;
+
+    /// The digest the vault computes.
+    fn expected_digest(secret: u32, msg: u32) -> u32 {
+        (secret ^ msg).rotate_left(5) ^ secret
+    }
 
     fn core() -> Core<metal_core::Metal> {
         let mut core = install(MetalBuilder::new())

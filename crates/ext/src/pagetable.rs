@@ -35,7 +35,6 @@
 //! instruction fetch unit enables fast exception dispatching").
 
 use metal_core::MetalBuilder;
-use metal_mem::tlb::Pte;
 use metal_mem::walker::Walker;
 use metal_mem::PhysMemory;
 use metal_pipeline::trap::TrapCause;
@@ -192,17 +191,6 @@ impl GuestPageTable {
             self.map(mem, addr, addr, flags);
         }
     }
-
-    /// Unmaps `va` by clearing its leaf entry (if present).
-    pub fn unmap(&mut self, mem: &mut PhysMemory, va: u32) {
-        let dir_addr = self.root + Walker::dir_index(va) * 4;
-        let dir = Pte(mem.read_u32(dir_addr).unwrap_or(0));
-        if !dir.valid() {
-            return;
-        }
-        let leaf_addr = dir.phys_base() + Walker::table_index(va) * 4;
-        let _ = mem.write_u32(leaf_addr, 0);
-    }
 }
 
 #[cfg(test)]
@@ -210,8 +198,16 @@ mod tests {
     use super::*;
     use crate::machine::run_guest;
     use metal_core::EccMode;
+    use metal_mem::tlb::Pte;
     use metal_pipeline::state::{CoreConfig, TranslationMode};
     use metal_pipeline::{Core, HaltReason};
+
+    /// Unmaps `va` by clearing its leaf entry.
+    fn unmap(pt: &GuestPageTable, mem: &mut PhysMemory, va: u32) {
+        let dir = Pte(mem.read_u32(pt.root + Walker::dir_index(va) * 4).unwrap());
+        let leaf_addr = dir.phys_base() + Walker::table_index(va) * 4;
+        mem.write_u32(leaf_addr, 0).unwrap();
+    }
 
     fn setup() -> Core<metal_core::Metal> {
         setup_with(EccMode::None)
@@ -354,7 +350,7 @@ mod tests {
             }
             other => panic!("expected mapping, got {other:?}"),
         }
-        pt.unmap(&mut mem, 0x1234_5000);
+        unmap(&pt, &mut mem, 0x1234_5000);
         let (result, _) = walker.walk(&mem, 0x1234_5678).unwrap();
         assert!(matches!(
             result,

@@ -2,12 +2,13 @@
 //!
 //! A [`CaseRunner`] owns a pipelined core (decode cache on), a second
 //! pipelined core (decode cache off), and the reference interpreter,
-//! each constructed **once**. Between cases each machine's state is
-//! rewound to its blank snapshot with [`MachineState::restore`] — a
-//! copy of the RAM pages the case wrote plus field copies,
-//! microseconds instead of a rebuild — and only the per-case Metal
-//! extension (mroutines, delegations) is constructed fresh and
-//! installed once per engine.
+//! each a `Core<Metal>` or `Interp<Metal>` constructed **once**: the
+//! machine type every other tool runs. Between cases each machine's
+//! state is rewound to its blank snapshot with
+//! [`MachineState::restore`] — a copy of the RAM pages the case wrote
+//! plus field copies, microseconds instead of a rebuild — and only the
+//! per-case Metal extension (mroutines, delegations) is constructed
+//! fresh and installed once per engine.
 //!
 //! The differential oracle compares the architectural state that
 //! [`metal_core::arch`] defines — halt, registers, CSRs, ASID,
@@ -21,16 +22,20 @@
 //! * **cross-configuration**: the two cores must agree on [`arch::ALL`],
 //!   *cycle counts* included — the decode cache is a host-side
 //!   optimization and any timing perturbation is a bug.
+//!
+//! Retirement is observed through the trace alone: both engines emit
+//! one `Retire` event per retired instruction, and the retirement
+//! order, the dispatch tags retired (a coverage feature) and the
+//! `--inject-bug mul` step all read those events.
 
 use crate::grammar::{FuzzCase, SCRATCH_BASE};
 use metal_core::arch::{self, Machine};
-use metal_core::Metal;
+use metal_core::{Metal, MetalConfig};
 use metal_isa::insn::{Insn, MulOp};
-use metal_isa::DispatchTag;
-use metal_pipeline::hooks::{CustomExec, DecodeOutcome, TrapDisposition, TrapEvent};
+use metal_isa::{decode_to, DecodedInsn};
 use metal_pipeline::state::{CoreConfig, MachineSnapshot, MachineState, TranslationMode};
-use metal_pipeline::{Core, Engine, HaltReason, Hooks, Interp, Trap};
-use metal_trace::{Event, TraceConfig, TraceHandle};
+use metal_pipeline::{Core, Engine, HaltReason, Interp};
+use metal_trace::{Event, EventKind, TraceConfig, TraceHandle};
 
 /// Cycle budget per case on the pipelined cores.
 pub const CORE_LIMIT: u64 = 2_000_000;
@@ -39,8 +44,10 @@ pub const CORE_LIMIT: u64 = 2_000_000;
 /// the pipelined cores also spend cycles on stalls and flushes.
 pub const INTERP_LIMIT: u64 = 1_000_000;
 
-/// Retirement PCs recorded per run (the tail is summarized by count).
-const RETIRE_CAP: usize = 4096;
+/// Trace ring capacity per run, in events. A generated case leaves a
+/// few hundred; a longer run keeps its newest events (see
+/// [`CaseResult`]).
+const TRACE_EVENTS: usize = 1 << 15;
 
 /// A deliberately injected engine bug, used to validate that the fuzzer
 /// finds and shrinks real divergences (`mfuzz --inject-bug`).
@@ -49,7 +56,8 @@ pub enum BugKind {
     /// No bug: engines should always agree.
     None,
     /// Flip the low result bit of every retired `mul` on the pipelined
-    /// cores only — a subtle single-instruction corruption.
+    /// cores only — a subtle single-instruction corruption, applied at
+    /// the end of the cycle that retired it.
     MulLowBit,
 }
 
@@ -61,112 +69,6 @@ impl BugKind {
             "none" => Some(BugKind::None),
             "mul" => Some(BugKind::MulLowBit),
             _ => None,
-        }
-    }
-}
-
-/// The fuzzer's [`Hooks`]: the real Metal extension plus retirement
-/// observation (dispatch tags, retirement order) and optional bug
-/// injection. Every extension decision is delegated to Metal verbatim,
-/// so behavior with `BugKind::None` is bit-identical to running Metal
-/// directly.
-#[derive(Clone)]
-pub struct FuzzHooks {
-    /// The wrapped extension.
-    pub metal: Metal,
-    /// The injected bug, if any.
-    pub bug: BugKind,
-    /// Bitmask of [`DispatchTag`]s seen at retirement.
-    pub tags: u32,
-    /// First `RETIRE_CAP` retired PCs.
-    pub retired: Vec<u32>,
-    /// Total retirements (beyond the recorded prefix).
-    pub retired_total: u64,
-}
-
-impl FuzzHooks {
-    /// Wraps an extension.
-    #[must_use]
-    pub fn new(metal: Metal, bug: BugKind) -> FuzzHooks {
-        FuzzHooks {
-            metal,
-            bug,
-            tags: 0,
-            retired: Vec::new(),
-            retired_total: 0,
-        }
-    }
-}
-
-fn tag_bit(insn: &Insn) -> u32 {
-    let tag = metal_isa::decoded::DecodedInsn::from_insn(0, *insn).tag;
-    1 << match tag {
-        DispatchTag::Simple => 0,
-        DispatchTag::Load => 1,
-        DispatchTag::Store => 2,
-        DispatchTag::PhysMem => 3,
-        DispatchTag::Control => 4,
-        DispatchTag::Illegal => 5,
-    }
-}
-
-impl Hooks for FuzzHooks {
-    fn fetch_decoded(
-        &mut self,
-        state: &mut MachineState,
-        pc: u32,
-    ) -> Option<Result<(metal_isa::DecodedInsn, u32), Trap>> {
-        self.metal.fetch_decoded(state, pc)
-    }
-
-    fn decode_is_sensitive(&self, state: &MachineState, word: u32, insn: &Insn) -> bool {
-        self.metal.decode_is_sensitive(state, word, insn)
-    }
-
-    fn decode(
-        &mut self,
-        state: &mut MachineState,
-        pc: u32,
-        word: u32,
-        insn: &Insn,
-    ) -> DecodeOutcome {
-        self.metal.decode(state, pc, word, insn)
-    }
-
-    fn exec_custom(
-        &mut self,
-        state: &mut MachineState,
-        pc: u32,
-        word: u32,
-        insn: &Insn,
-        rs1: u32,
-        rs2: u32,
-    ) -> Result<CustomExec, Trap> {
-        self.metal.exec_custom(state, pc, word, insn, rs1, rs2)
-    }
-
-    fn on_trap(&mut self, state: &mut MachineState, event: &TrapEvent) -> TrapDisposition {
-        self.metal.on_trap(state, event)
-    }
-
-    fn interrupts_allowed(&self, state: &MachineState) -> bool {
-        self.metal.interrupts_allowed(state)
-    }
-
-    fn on_retire(&mut self, state: &mut MachineState, pc: u32, insn: &Insn) {
-        self.metal.on_retire(state, pc, insn);
-        self.tags |= tag_bit(insn);
-        if self.retired.len() < RETIRE_CAP {
-            self.retired.push(pc);
-        }
-        self.retired_total += 1;
-        if self.bug == BugKind::MulLowBit {
-            if let Insn::MulDiv {
-                op: MulOp::Mul, rd, ..
-            } = insn
-            {
-                state.regs.set(*rd, state.regs.get(*rd) ^ 1);
-            }
         }
     }
 }
@@ -184,14 +86,55 @@ pub struct EngineRun {
     pub mram_data: Vec<u8>,
     /// Retired instructions.
     pub instret: u64,
-    /// Retirement order (first `RETIRE_CAP` PCs) and total count.
-    pub retired: Vec<u32>,
-    /// Total retirements.
-    pub retired_total: u64,
-    /// The run's trace events (coverage input).
+    /// The run's trace events (coverage input; their `Retire` events
+    /// are the retirement order).
     pub events: Vec<Event>,
-    /// Dispatch tags retired, as a bitmask.
+    /// Dispatch tags of the retirements the trace kept, as a bitmask.
     pub tags: u32,
+}
+
+/// PCs of the retirements a trace kept, oldest first: all `instret`
+/// of them, or only the newest when the ring wrapped.
+fn retired_pcs(events: &[Event]) -> impl Iterator<Item = u32> + '_ {
+    events.iter().filter_map(|e| match e.kind {
+        EventKind::Retire { pc } => Some(pc),
+        _ => None,
+    })
+}
+
+/// The instruction a run retired at `pc`: the case's MRAM code, or the
+/// guest word in RAM. Fuzz guests run identity-mapped, and the only
+/// patch a guest makes to its own code replaces an `addi` with an
+/// `addi`, so the word read after the run is the word that retired.
+fn decoded_at(state: &MachineState, metal: &Metal, pc: u32) -> Option<DecodedInsn> {
+    metal
+        .mram
+        .code_decoded(pc)
+        .ok()
+        .or_else(|| state.bus.ram.read_u32(pc).ok().map(decode_to))
+}
+
+/// `--inject-bug mul`, called after every cycle of a pipelined core:
+/// when the cycle retired a `mul` (its `Retire` event is among that
+/// cycle's newest events), flip the low bit of the result.
+fn flip_retired_mul<E: Engine<Hooks = Metal>>(engine: &mut E, instret: &mut u64) {
+    let state = engine.state();
+    if state.perf.instret == *instret {
+        return;
+    }
+    *instret = state.perf.instret;
+    let rd = retired_pcs(&state.trace.events_since(state.perf.cycles))
+        .filter_map(|pc| decoded_at(state, engine.hooks(), pc))
+        .find_map(|d| match d.insn {
+            Insn::MulDiv {
+                op: MulOp::Mul, rd, ..
+            } => Some(rd),
+            _ => None,
+        });
+    if let Some(rd) = rd {
+        let regs = &mut engine.state_mut().regs;
+        regs.set(rd, regs.get(rd) ^ 1);
+    }
 }
 
 /// Discriminant of the halt shape, a coverage feature.
@@ -207,6 +150,14 @@ pub fn halt_kind(halt: &Option<HaltReason>) -> u32 {
 }
 
 /// The outcome of running one case on all three machines.
+///
+/// Each run's trace holds 2^15 events; a run that emits more keeps
+/// only the newest. Such a case is still compared on
+/// [`arch::DIFFERENTIAL`] (and the cores on [`arch::ALL`]), `instret`
+/// included, but its retirement order only over the retirements both
+/// traces kept, aligned at the newest: a wrapped trace is never read
+/// as a complete one. Its `tags` likewise cover only the kept
+/// retirements.
 #[derive(Clone, Debug)]
 pub struct CaseResult {
     /// A human-readable divergence description, if any oracle fired.
@@ -230,9 +181,9 @@ pub struct BuildError(pub String);
 
 /// Three persistent engines plus snapshots of their blank states.
 pub struct CaseRunner {
-    core_dc: Rig<Core<FuzzHooks>>,
-    core_nodc: Rig<Core<FuzzHooks>>,
-    interp: Rig<Interp<FuzzHooks>>,
+    core_dc: Rig<Core<Metal>>,
+    core_nodc: Rig<Core<Metal>>,
+    interp: Rig<Interp<Metal>>,
     bug: BugKind,
 }
 
@@ -259,14 +210,11 @@ fn fuzz_config(decode_cache: bool) -> CoreConfig {
     }
 }
 
-impl<E: Engine<Hooks = FuzzHooks>> Rig<E> {
+impl<E: Engine<Hooks = Metal>> Rig<E> {
     fn new(decode_cache: bool) -> Rig<E> {
         let engine = E::new(
             fuzz_config(decode_cache),
-            FuzzHooks::new(
-                Metal::new(metal_core::MetalConfig::default()),
-                BugKind::None,
-            ),
+            Metal::new(MetalConfig::default()),
         );
         Rig {
             blank: engine.state().snapshot(),
@@ -287,11 +235,11 @@ impl<E: Engine<Hooks = FuzzHooks>> Rig<E> {
     ) -> EngineRun {
         let engine = &mut self.engine;
         engine.state_mut().restore(&self.blank);
-        *engine.hooks_mut() = FuzzHooks::new(metal.clone(), bug);
+        *engine.hooks_mut() = metal.clone();
         engine
             .state_mut()
             .set_trace(TraceHandle::enabled(TraceConfig {
-                capacity: 1 << 15,
+                capacity: TRACE_EVENTS,
                 ..TraceConfig::default()
             }));
         if soft_tlb {
@@ -299,25 +247,32 @@ impl<E: Engine<Hooks = FuzzHooks>> Rig<E> {
         }
         // `load_segments` also sets the PC, clearing in-flight work.
         engine.load_segments([(0u32, program)], 0);
-        let halt = Some(engine.run_fuel(limit));
+        let halt = Some(match bug {
+            BugKind::None => engine.run_fuel(limit),
+            BugKind::MulLowBit => {
+                let mut instret = engine.state().perf.instret;
+                engine.run_fuel_observed(limit, |e| flip_retired_mul(e, &mut instret))
+            }
+        });
         let state = engine.state();
-        let hooks = engine.hooks();
+        let metal = engine.hooks();
+        let events = state.trace.events();
+        let tags = retired_pcs(&events)
+            .filter_map(|pc| decoded_at(state, metal, pc))
+            .fold(0, |tags, d| tags | 1 << d.tag as u32);
         EngineRun {
             halt,
             regs: state.regs.snapshot(),
-            mregs: std::array::from_fn(|n| hooks.metal.mregs.get(n)),
-            mram_data: hooks
-                .metal
+            mregs: std::array::from_fn(|n| metal.mregs.get(n)),
+            mram_data: metal
                 .mram
                 .data()
                 .iter()
                 .flat_map(|w| w.to_le_bytes())
                 .collect(),
             instret: state.perf.instret,
-            retired: hooks.retired.clone(),
-            retired_total: hooks.retired_total,
-            events: state.trace.events(),
-            tags: hooks.tags,
+            events,
+            tags,
         }
     }
 }
@@ -400,15 +355,9 @@ impl CaseRunner {
         if let Some(d) = arch::first_difference(on, reference, set) {
             return Some(format!("{}: core={} interp={}", d.field, d.left, d.right));
         }
-        if !fatal && (core.retired_total != interp.retired_total || core.retired != interp.retired)
-        {
-            let first = core
-                .retired
-                .iter()
-                .zip(&interp.retired)
-                .position(|(a, b)| a != b);
+        if let Some(first) = retirement_mismatch(core, interp).filter(|_| !fatal) {
             return Some(format!(
-                "retirement order diverged (first mismatch at index {first:?})"
+                "retirement order diverged (first mismatch at retirement {first})"
             ));
         }
         if let Some(d) = arch::first_difference(on, off, arch::ALL) {
@@ -417,14 +366,32 @@ impl CaseRunner {
                 d.field, d.left, d.right
             ));
         }
-        (core.retired != nodc.retired).then(|| "decode cache perturbed retirement order".to_owned())
+        retirement_mismatch(core, nodc)
+            .map(|_| "decode cache perturbed retirement order".to_owned())
     }
 }
 
-fn machine<E: Engine<Hooks = FuzzHooks>>(engine: &E) -> Machine<'_> {
+/// The first retirement, counted from the start of the run, at which
+/// two runs with equal `instret` retired different PCs. A trace that
+/// wrapped kept only the newest retirements, so the two orders are
+/// compared aligned at their ends, over the retirements both kept.
+fn retirement_mismatch(a: &EngineRun, b: &EngineRun) -> Option<u64> {
+    let (a_pcs, b_pcs): (Vec<u32>, Vec<u32>) = (
+        retired_pcs(&a.events).collect(),
+        retired_pcs(&b.events).collect(),
+    );
+    let kept = a_pcs.len().min(b_pcs.len());
+    let first = a_pcs[a_pcs.len() - kept..]
+        .iter()
+        .zip(&b_pcs[b_pcs.len() - kept..])
+        .position(|(x, y)| x != y)?;
+    Some(a.instret - kept as u64 + first as u64)
+}
+
+fn machine<E: Engine<Hooks = Metal>>(engine: &E) -> Machine<'_> {
     Machine {
         state: engine.state(),
-        metal: &engine.hooks().metal,
+        metal: engine.hooks(),
     }
 }
 
@@ -467,6 +434,55 @@ mod tests {
         let res = runner.run(&case).unwrap();
         let what = res.divergence.expect("bug must diverge");
         assert!(what.contains("core"), "{what}");
+    }
+
+    /// A case that loops `iterations` times over `body`, retiring
+    /// `3 * iterations + 3` instructions (`li t0` is two).
+    fn loop_case(body: &str, iterations: u32) -> FuzzCase {
+        FuzzCase {
+            seed: 0,
+            routines: vec![],
+            delegations: vec![],
+            soft_tlb: false,
+            guest: format!("li t0, {iterations}\nli a1, 3\nloop:\n{body}\naddi t0, t0, -1\nbnez t0, loop\nebreak"),
+        }
+    }
+
+    #[test]
+    fn wrapped_traces_are_compared_on_what_they_kept() {
+        // 60,003 retirements: every engine's ring wraps, and the core
+        // (which also traces stalls and flushes) keeps fewer retirements
+        // than the interpreter, so comparing the two kept orders as
+        // though complete would report a false divergence.
+        let case = loop_case("addi a0, a0, 1", 20_000);
+        let res = CaseRunner::new(BugKind::None).run(&case).unwrap();
+        assert!(!res.hang);
+        assert_eq!(res.divergence, None);
+        let kept = |run: &EngineRun| retired_pcs(&run.events).count();
+        for run in [&res.core, &res.interp] {
+            assert_eq!(run.instret, 60_003);
+            assert!(kept(run) < TRACE_EVENTS, "the ring wrapped");
+        }
+        assert_ne!(kept(&res.core), kept(&res.interp));
+        assert_eq!(retirement_mismatch(&res.core, &res.interp), None);
+        // A mismatch among the kept retirements is still found, and
+        // numbered from the start of the run.
+        let mut bent = res.core.clone();
+        let last = bent
+            .events
+            .iter_mut()
+            .rev()
+            .find(|e| matches!(e.kind, EventKind::Retire { .. }))
+            .unwrap();
+        last.kind = EventKind::Retire { pc: 0x44 };
+        assert_eq!(retirement_mismatch(&bent, &res.interp), Some(60_002));
+        // The architectural state is compared in full all the same.
+        let case = loop_case("mul a0, a1, a1", 20_000);
+        let res = CaseRunner::new(BugKind::MulLowBit).run(&case).unwrap();
+        assert!(!res.hang);
+        assert!(retired_pcs(&res.core.events).count() < TRACE_EVENTS);
+        let what = res.divergence.expect("the injected bug is found");
+        assert!(what.starts_with("halt: core="), "{what}");
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl Pte {
         ((self.0 >> KEY_SHIFT) & KEY_MASK) as u8
     }
 
-    /// Returns a copy with the page key set.
-    #[must_use]
-    pub fn with_key(self, key: u8) -> Pte {
-        Pte((self.0 & !(KEY_MASK << KEY_SHIFT)) | ((u32::from(key) & KEY_MASK) << KEY_SHIFT))
-    }
-
     /// True if the PTE permits the access (ignoring page keys).
     #[must_use]
     pub fn permits(self, kind: AccessKind) -> bool {
@@ -428,7 +422,7 @@ mod tests {
     #[test]
     fn page_keys_gate_access() {
         let mut tlb = Tlb::new(TlbConfig::default());
-        let pte = Pte::new(0x9000, Pte::V | Pte::R | Pte::W).with_key(3);
+        let pte = Pte::new(0x9000, Pte::V | Pte::R | Pte::W | 3 << KEY_SHIFT);
         tlb.install(0x2000, pte, 0);
         assert!(tlb.translate(0x2000, 0, AccessKind::Write).is_ok());
         tlb.set_key_perms(3, 1); // read-only
@@ -443,7 +437,7 @@ mod tests {
             Err(TlbFault::KeyViolation)
         );
         // Execute is never key-gated.
-        let xpte = Pte::new(0x9000, Pte::V | Pte::X).with_key(3);
+        let xpte = Pte::new(0x9000, Pte::V | Pte::X | 3 << KEY_SHIFT);
         tlb.install(0x3000, xpte, 0);
         assert!(tlb.translate(0x3000, 0, AccessKind::Execute).is_ok());
     }
@@ -452,7 +446,7 @@ mod tests {
     fn key_count_is_fixed_by_the_pte_key_field() {
         let mut tlb = Tlb::new(TlbConfig::default());
         assert_eq!(tlb.key_masks().len(), 16);
-        assert_eq!(Pte(0).with_key(0xFF).key(), 15);
+        assert_eq!(Pte(u32::MAX).key(), 15);
         // A guest key past the PTE field's range names no slot.
         tlb.set_key_perms(16, 0);
         assert_eq!(tlb.key_perms(16), 0);

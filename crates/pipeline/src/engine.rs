@@ -118,11 +118,7 @@ pub trait Engine: Sized {
     /// retiring is not detected here, it just runs to `limit` and stays
     /// resumable (see [`Engine::run_fuel`]).
     fn run(&mut self, limit: u64) -> Option<HaltReason> {
-        let start = self.state().perf.cycles;
-        while self.state().halted.is_none() && self.state().perf.cycles - start < limit {
-            self.step();
-        }
-        self.state().halted.clone()
+        run_observed(self, limit, &mut |_| {})
     }
 
     /// Runs under the watchdog, the one hang semantics of both engines:
@@ -134,12 +130,23 @@ pub trait Engine: Sized {
     /// Campaign harnesses (`mfuzz`, `mfault`) use this so no single
     /// case can wedge a run on livelocked guest code.
     fn run_fuel(&mut self, fuel: u64) -> HaltReason {
+        self.run_fuel_observed(fuel, |_| {})
+    }
+
+    /// [`Engine::run_fuel`], calling `after_cycle` after every cycle
+    /// (e.g. `mfuzz --inject-bug`, which corrupts what a cycle retired).
+    /// The watchdog sees whatever `after_cycle` did to the machine.
+    fn run_fuel_observed(
+        &mut self,
+        fuel: u64,
+        mut after_cycle: impl FnMut(&mut Self),
+    ) -> HaltReason {
         let mut left = fuel;
         while left > 0 {
             let window = left.min(HANG_WINDOW);
             let instret = self.state().perf.instret;
             let waiting = self.is_waiting();
-            if let Some(halt) = self.run(window) {
+            if let Some(halt) = run_observed(self, window, &mut after_cycle) {
                 return halt;
             }
             left -= window;
@@ -200,6 +207,22 @@ pub trait Engine: Sized {
         self.hooks_mut().clone_from(&snap.hooks);
         self.set_pc(snap.pc);
     }
+}
+
+/// The one cycle loop behind [`Engine::run`] and
+/// [`Engine::run_fuel_observed`]: at most `limit` cycles, each followed
+/// by `after_cycle`, until the machine halts.
+fn run_observed<E: Engine>(
+    engine: &mut E,
+    limit: u64,
+    after_cycle: &mut impl FnMut(&mut E),
+) -> Option<HaltReason> {
+    let start = engine.state().perf.cycles;
+    while engine.state().halted.is_none() && engine.state().perf.cycles - start < limit {
+        engine.step();
+        after_cycle(engine);
+    }
+    engine.state().halted.clone()
 }
 
 #[cfg(test)]
@@ -263,6 +286,13 @@ mod tests {
         assert_eq!(split.state().perf.cycles, 213, "{}", E::name());
         assert_eq!(split.run(487), None);
         assert_eq!(observe(&split), observe(&whole), "{}", E::name());
+
+        // The observer runs once per cycle, to the halt.
+        let mut observed = load::<E>(&words);
+        let mut calls = 0;
+        let halt = observed.run_fuel_observed(1_000_000, |_| calls += 1);
+        assert_eq!(halt, HaltReason::Ebreak { code: 0 }, "{}", E::name());
+        assert_eq!(calls, observed.state().perf.cycles, "{}", E::name());
 
         let retired = whole.state().perf.instret;
         whole.step_insns(37);

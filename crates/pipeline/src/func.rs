@@ -12,6 +12,7 @@ use crate::trap::{Trap, TrapCause};
 use metal_isa::insn::{CsrSrc, Insn};
 use metal_isa::reg::Reg;
 use metal_isa::DecodedInsn;
+use metal_trace::EventKind;
 
 /// The reference interpreter.
 pub struct Interp<H: Hooks = NoHooks> {
@@ -112,30 +113,30 @@ impl<H: Hooks> Interp<H> {
         let fallthrough = pc.wrapping_add(4);
         match insn {
             Insn::Lui { rd, imm20 } => {
-                self.retire_wb(pc, insn, rd, imm20 << 12, fallthrough);
+                self.retire_wb(pc, rd, imm20 << 12, fallthrough);
             }
             Insn::Auipc { rd, imm20 } => {
-                self.retire_wb(pc, insn, rd, pc.wrapping_add(imm20 << 12), fallthrough);
+                self.retire_wb(pc, rd, pc.wrapping_add(imm20 << 12), fallthrough);
             }
             Insn::AluImm { op, rd, rs1, imm } => {
                 let v = op.eval(regs.get(rs1), imm as u32);
-                self.retire_wb(pc, insn, rd, v, fallthrough);
+                self.retire_wb(pc, rd, v, fallthrough);
             }
             Insn::Alu { op, rd, rs1, rs2 } => {
                 let v = op.eval(regs.get(rs1), regs.get(rs2));
-                self.retire_wb(pc, insn, rd, v, fallthrough);
+                self.retire_wb(pc, rd, v, fallthrough);
             }
             Insn::MulDiv { op, rd, rs1, rs2 } => {
                 let v = op.eval(regs.get(rs1), regs.get(rs2));
-                self.retire_wb(pc, insn, rd, v, fallthrough);
+                self.retire_wb(pc, rd, v, fallthrough);
             }
             Insn::Jal { rd, offset } => {
                 let target = pc.wrapping_add(offset as u32);
-                self.retire_wb(pc, insn, rd, fallthrough, target);
+                self.retire_wb(pc, rd, fallthrough, target);
             }
             Insn::Jalr { rd, rs1, offset } => {
                 let target = regs.get(rs1).wrapping_add(offset as u32) & !1;
-                self.retire_wb(pc, insn, rd, fallthrough, target);
+                self.retire_wb(pc, rd, fallthrough, target);
             }
             Insn::Branch {
                 cond,
@@ -149,7 +150,7 @@ impl<H: Hooks> Interp<H> {
                 } else {
                     fallthrough
                 };
-                self.retire(pc, insn, next);
+                self.retire(pc, next);
             }
             Insn::Load {
                 op,
@@ -159,7 +160,7 @@ impl<H: Hooks> Interp<H> {
             } => {
                 let addr = regs.get(rs1).wrapping_add(offset as u32);
                 match self.state.load(addr, op) {
-                    Ok((v, _)) => self.retire_wb(pc, insn, rd, v, fallthrough),
+                    Ok((v, _)) => self.retire_wb(pc, rd, v, fallthrough),
                     Err(trap) => self.handle_trap(trap, pc),
                 }
             }
@@ -172,7 +173,7 @@ impl<H: Hooks> Interp<H> {
                 let addr = regs.get(rs1).wrapping_add(offset as u32);
                 let value = regs.get(rs2);
                 match self.state.store(addr, op, value) {
-                    Ok(_) => self.retire(pc, insn, fallthrough),
+                    Ok(_) => self.retire(pc, fallthrough),
                     Err(trap) => self.handle_trap(trap, pc),
                 }
             }
@@ -187,7 +188,7 @@ impl<H: Hooks> Interp<H> {
                     CsrSrc::Imm(i) => u32::from(i),
                 };
                 match self.state.csr_rmw(op, addr, operand, word) {
-                    Ok(old) => self.retire_wb(pc, insn, rd, old, fallthrough),
+                    Ok(old) => self.retire_wb(pc, rd, old, fallthrough),
                     Err(trap) => self.handle_trap(trap, pc),
                 }
             }
@@ -199,12 +200,12 @@ impl<H: Hooks> Interp<H> {
             }
             Insn::Mret => {
                 let target = self.state.mret();
-                self.retire(pc, insn, target);
+                self.retire(pc, target);
             }
             Insn::Wfi | Insn::Fence => {
                 // The interpreter has no pipeline to idle; WFI is a NOP
                 // (excluded from differential tests).
-                self.retire(pc, insn, fallthrough);
+                self.retire(pc, fallthrough);
             }
             // Metal instructions: delegate to the hooks (illegal under
             // NoHooks).
@@ -220,7 +221,7 @@ impl<H: Hooks> Interp<H> {
                         if let (Some(rd), Some(v)) = (other.dest(), result.writeback) {
                             self.state.regs.set(rd, v);
                         }
-                        self.retire(pc, other, fallthrough);
+                        self.retire(pc, fallthrough);
                     }
                     Err(trap) => self.handle_trap(trap, pc),
                 }
@@ -228,14 +229,14 @@ impl<H: Hooks> Interp<H> {
         }
     }
 
-    fn retire_wb(&mut self, pc: u32, insn: Insn, rd: Reg, value: u32, next: u32) {
+    fn retire_wb(&mut self, pc: u32, rd: Reg, value: u32, next: u32) {
         self.state.regs.set(rd, value);
-        self.retire(pc, insn, next);
+        self.retire(pc, next);
     }
 
-    fn retire(&mut self, pc: u32, insn: Insn, next: u32) {
+    fn retire(&mut self, pc: u32, next: u32) {
         self.state.perf.instret += 1;
-        self.hooks.on_retire(&mut self.state, pc, &insn);
+        self.state.trace.emit(EventKind::Retire { pc });
         self.pc = next;
     }
 }

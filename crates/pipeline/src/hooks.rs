@@ -162,11 +162,6 @@ pub trait Hooks {
         let _ = state;
         true
     }
-
-    /// Called when an instruction retires (tracing/statistics).
-    fn on_retire(&mut self, state: &mut MachineState, pc: u32, insn: &Insn) {
-        let _ = (state, pc, insn);
-    }
 }
 
 /// An engine's decode stage, as [`resolve_decode`] drives it.

@@ -60,7 +60,6 @@ struct ExMem {
 #[derive(Clone, Copy, Debug)]
 struct MemWb {
     pc: u32,
-    insn: Insn,
     rd: Option<Reg>,
     value: u32,
 }
@@ -211,7 +210,6 @@ impl<H: Hooks> Engine for Core<H> {
             }
             self.state.perf.instret += 1;
             self.state.trace.emit(EventKind::Retire { pc: wb.pc });
-            self.hooks.on_retire(&mut self.state, wb.pc, &wb.insn);
         }
 
         // ---------------- MEM ----------------
@@ -226,7 +224,6 @@ impl<H: Hooks> Engine for Core<H> {
                 Ok((value, extra)) => {
                     let latch = MemWb {
                         pc: xm.pc,
-                        insn: xm.decoded.insn,
                         rd: xm.decoded.dest,
                         value,
                     };

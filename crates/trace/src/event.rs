@@ -165,7 +165,9 @@ impl TransitionCause {
 /// One trace event payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// An instruction retired (WB stage).
+    /// An instruction retired: in the pipeline's WB stage, or in the
+    /// interpreter's step. Both engines emit exactly one per `instret`
+    /// increment, in retirement order.
     Retire {
         /// PC of the retired instruction.
         pc: u32,

@@ -167,6 +167,24 @@ impl TraceHandle {
         }
     }
 
+    /// The retained events stamped at `cycle` or later, oldest first.
+    /// Costs the events returned, not the ring: it reads back from the
+    /// newest (e.g. one cycle's events, with `cycle` the current one).
+    #[must_use]
+    pub fn events_since(&self, cycle: u64) -> Vec<Event> {
+        let Some(shared) = &self.0 else {
+            return Vec::new();
+        };
+        let ring = shared.ring.lock();
+        let mut out: Vec<Event> = ring
+            .newest_first()
+            .take_while(|e| e.cycle >= cycle)
+            .copied()
+            .collect();
+        out.reverse();
+        out
+    }
+
     /// Events evicted because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -245,6 +263,35 @@ mod tests {
         assert_eq!(t.events().len(), 4);
         assert_eq!(t.dropped(), 6);
         assert_eq!(t.events()[0].cycle, 6);
+    }
+
+    #[test]
+    fn events_since_reads_the_newest_cycles_across_the_wrap() {
+        let t = TraceHandle::enabled(TraceConfig {
+            capacity: 5,
+            detail: Detail::Full,
+        });
+        assert!(t.events_since(0).is_empty());
+        for i in 0..7u32 {
+            t.set_now(u64::from(i / 2));
+            t.emit(EventKind::Retire { pc: i });
+        }
+        // The ring holds pcs 2..=6 at cycles 1, 1, 2, 2, 3, its oldest
+        // slot no longer at index 0.
+        let pcs = |cycle| -> Vec<u32> {
+            t.events_since(cycle)
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::Retire { pc } => pc,
+                    _ => unreachable!(),
+                })
+                .collect()
+        };
+        assert_eq!(pcs(3), [6]);
+        assert_eq!(pcs(2), [4, 5, 6]);
+        assert_eq!(pcs(0), [2, 3, 4, 5, 6]);
+        assert!(pcs(4).is_empty());
+        assert!(TraceHandle::disabled().events_since(0).is_empty());
     }
 
     #[test]

@@ -58,6 +58,13 @@ impl Ring {
         self.dropped
     }
 
+    /// The retained events, newest first.
+    pub(crate) fn newest_first(&self) -> impl Iterator<Item = &Event> {
+        // Once wrapped, the slots before `head` hold the newest events.
+        let (newer, older) = self.buf.split_at(self.head);
+        newer.iter().rev().chain(older.iter().rev())
+    }
+
     /// The retained events, oldest first.
     #[must_use]
     pub fn to_vec(&self) -> Vec<Event> {

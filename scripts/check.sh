@@ -90,6 +90,17 @@ if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     # ... and the report itself must not move.
     diff tests/golden/mfuzz_cases1000_seed1.txt "$out/jobs1.txt"
     rm -r "$out"
+    # An injected engine bug must be found: the campaign exits non-zero
+    # and reports at least one divergence.
+    if bug=$(target/release/mfuzz --cases 200 --seed 7 --jobs 2 --inject-bug mul); then
+        echo "mfuzz --inject-bug mul exited 0: the injected bug went unfound"
+        exit 1
+    fi
+    if ! grep -q '^  divergence (seed ' <<< "$bug"; then
+        echo "mfuzz --inject-bug mul failed without reporting a divergence:"
+        echo "$bug"
+        exit 1
+    fi
     # The committed corpus must keep replaying bit-identically, and
     # every artifact must stay free of lint-soundness disagreements.
     for f in tests/corpus/*.s; do
