@@ -113,9 +113,7 @@ impl Assembled {
     /// The image as little-endian words from `base` (zero-filled gaps).
     pub fn words(&self, base: u32) -> Result<Vec<u32>, String> {
         let mut bytes = self.flatten(base)?;
-        while bytes.len() % 4 != 0 {
-            bytes.push(0);
-        }
+        bytes.resize(bytes.len().next_multiple_of(4), 0);
         Ok(bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -132,11 +130,10 @@ pub fn assemble(src: &str, options: Options) -> Result<Assembled, AsmError> {
     asm.finish()
 }
 
-/// Assembles a single-section program at `base` and returns its words.
-///
-/// Convenience for tests and mroutines: the whole image is flattened from
-/// `base` with zero fill.
-pub fn assemble_at(src: &str, base: u32) -> Result<Vec<u32>, AsmError> {
+/// Assembles a single-section program at `base` and returns its image:
+/// the bytes from `base`, zero-filled between segments and padded to a
+/// whole word.
+pub fn assemble_image(src: &str, base: u32) -> Result<Vec<u8>, AsmError> {
     let out = assemble(
         src,
         Options {
@@ -144,7 +141,19 @@ pub fn assemble_at(src: &str, base: u32) -> Result<Vec<u32>, AsmError> {
             data_base: base + 0x1_0000,
         },
     )?;
-    out.words(base).map_err(|msg| AsmError::new(0, msg))
+    let mut image = out.flatten(base).map_err(|msg| AsmError::new(0, msg))?;
+    image.resize(image.len().next_multiple_of(4), 0);
+    Ok(image)
+}
+
+/// [`assemble_image`] as little-endian words, for code that installs
+/// or decodes words (mroutines, decoders).
+pub fn assemble_at(src: &str, base: u32) -> Result<Vec<u32>, AsmError> {
+    let image = assemble_image(src, base)?;
+    Ok(image
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect())
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]

@@ -30,7 +30,9 @@ pub(crate) mod expr;
 pub(crate) mod lexer;
 pub(crate) mod parser;
 
-pub use assemble::{assemble, assemble_at, Assembled, Options, Segment, SourceSpan};
+pub use assemble::{
+    assemble, assemble_at, assemble_image, Assembled, Options, Segment, SourceSpan,
+};
 
 use core::fmt;
 

@@ -12,6 +12,7 @@
 //! latency histograms) as a machine-readable JSON document.
 
 use metal_bench::{experiments, harness};
+use metal_util::outln;
 
 fn main() {
     let mut metrics_path: Option<String> = None;
@@ -39,8 +40,8 @@ fn main() {
     for id in ids {
         match experiments::run(id) {
             Some(report) => {
-                println!("{report}");
-                println!("{}", "-".repeat(72));
+                outln!("{report}");
+                outln!("{}", "-".repeat(72));
             }
             None => {
                 eprintln!(
@@ -57,7 +58,7 @@ fn main() {
             eprintln!("cannot write {path}: {e}");
             failed = true;
         } else {
-            println!("wrote metrics snapshot to {path}");
+            outln!("wrote metrics snapshot to {path}");
         }
     }
     if failed {

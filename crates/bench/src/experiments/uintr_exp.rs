@@ -26,8 +26,7 @@ fn schedule(handle: &NicHandle, period: u64) {
 }
 
 fn load_and_run_uncapped<H: metal_pipeline::Hooks>(core: &mut Core<H>, src: &str) -> (u32, u64) {
-    let words = metal_asm::assemble_at(src, 0).unwrap_or_else(|e| panic!("{e}"));
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = metal_asm::assemble_image(src, 0).unwrap_or_else(|e| panic!("{e}"));
     core.load_segments([(0u32, bytes.as_slice())], 0);
     match core.run(200_000_000) {
         Some(metal_pipeline::HaltReason::Ebreak { code }) => (code, core.state.perf.cycles),

@@ -29,8 +29,7 @@ pub fn std_config() -> CoreConfig {
 /// panics on non-`ebreak` halts (experiment programs are
 /// library-internal).
 pub fn run_to_halt<E: Engine>(engine: &mut E, src: &str, limit: u64) -> u32 {
-    let words = metal_asm::assemble_at(src, 0).unwrap_or_else(|e| panic!("bench program: {e}"));
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = metal_asm::assemble_image(src, 0).unwrap_or_else(|e| panic!("bench program: {e}"));
     engine.load_segments([(0u32, bytes.as_slice())], 0);
     match engine.run(limit) {
         Some(HaltReason::Ebreak { code }) => code,

@@ -34,9 +34,8 @@
 //!     .unwrap();
 //!
 //! // A guest program that invokes it.
-//! let program = metal_asm::assemble_at("li a0, 21\n menter 7\n ebreak", 0).unwrap();
-//! let bytes: Vec<u8> = program.iter().flat_map(|w| w.to_le_bytes()).collect();
-//! core.load_segments([(0u32, bytes.as_slice())], 0);
+//! let program = metal_asm::assemble_image("li a0, 21\n menter 7\n ebreak", 0).unwrap();
+//! core.load_segments([(0u32, program.as_slice())], 0);
 //! assert_eq!(core.run(10_000), Some(HaltReason::Ebreak { code: 42 }));
 //! ```
 

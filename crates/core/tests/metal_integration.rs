@@ -28,8 +28,7 @@ fn core_config() -> CoreConfig {
 }
 
 fn load_and_run(core: &mut Core<Metal>, src: &str, max: u64) -> Option<HaltReason> {
-    let words = metal_asm::assemble_at(src, 0).unwrap_or_else(|e| panic!("{e}"));
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = metal_asm::assemble_image(src, 0).unwrap_or_else(|e| panic!("{e}"));
     core.load_segments([(0u32, bytes.as_slice())], 0);
     core.run(max)
 }

@@ -206,8 +206,7 @@ mod tests {
         }
         core.state.translation = TranslationMode::SoftTlb;
         // Load the enclave image at its physical backing.
-        let words = metal_asm::assemble_at(enclave_asm, ENC_PAGE).unwrap();
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bytes = metal_asm::assemble_image(enclave_asm, ENC_PAGE).unwrap();
         core.state.bus.ram.load(ENC_PA, &bytes).unwrap();
         core
     }

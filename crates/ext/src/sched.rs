@@ -244,8 +244,7 @@ mod tests {
     }
 
     fn load_process(core: &mut Core<metal_core::Metal>, pa: u32, src: &str) {
-        let words = metal_asm::assemble_at(src, CODE_VA).unwrap();
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bytes = metal_asm::assemble_image(src, CODE_VA).unwrap();
         core.state.bus.ram.load(pa, &bytes).unwrap();
     }
 
@@ -296,8 +295,7 @@ mod tests {
             init = entries::INIT,
             start = entries::START,
         );
-        let words = metal_asm::assemble_at(&boot, 0).unwrap();
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bytes = metal_asm::assemble_image(&boot, 0).unwrap();
         core.load_segments([(0u32, bytes.as_slice())], 0);
         let halt = core.run(10_000_000);
         assert_eq!(halt, Some(HaltReason::Ebreak { code: 2000 }), "{halt:?}");
@@ -397,8 +395,7 @@ mod tests {
             entries::INIT,
             entries::START
         );
-        let words = metal_asm::assemble_at(&boot, 0).unwrap();
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bytes = metal_asm::assemble_image(&boot, 0).unwrap();
         core.load_segments([(0u32, bytes.as_slice())], 0);
         let halt = core.run(10_000_000);
         assert!(

@@ -9,10 +9,11 @@
 
 use metal_core::EccMode;
 use metal_faultsim::campaign::{
-    run, CampaignConfig, Classification, EngineChoice, KindChoice, Report, WorkloadKind,
+    run, CampaignConfig, Classification, EngineChoice, KindChoice, WorkloadKind,
 };
 use metal_trace::FaultSite;
 use metal_util::cli::{fail, parse_num, usage};
+use metal_util::outln;
 use std::process::ExitCode;
 
 const USAGE: &str = "mfault [--seed N] [--cases N] [--jobs N] [--ecc none|parity|secded] \
@@ -39,15 +40,6 @@ fn parse_sites(list: &str) -> Option<Vec<FaultSite>> {
 /// `0..=100` (a NaN floor would disable the gate).
 fn parse_pct(s: &str) -> Option<f64> {
     s.parse::<f64>().ok().filter(|p| (0.0..=100.0).contains(p))
-}
-
-/// The corrected rate in percent, or `None` when the campaign
-/// evaluated no case (every case skipped, or none run): a rate of
-/// nothing, which the summary prints as `n/a` and the
-/// `--min-corrected-pct` gate refuses.
-fn corrected_pct(report: &Report) -> Option<f64> {
-    let tally = report.tally(None);
-    (tally.total() > tally.of(Classification::Skipped)).then(|| report.corrected_pct())
 }
 
 fn main() -> ExitCode {
@@ -115,7 +107,7 @@ fn main() -> ExitCode {
 
     let report = run(&cfg);
 
-    println!(
+    outln!(
         "mfault: seed {} | {} cases | engine {} | workload {} | ecc {} | kind {} | recovery {}",
         cfg.seed,
         cfg.cases,
@@ -126,27 +118,34 @@ fn main() -> ExitCode {
         if cfg.recover { "on" } else { "off" },
     );
     if cfg.zero_fault {
-        println!(
+        outln!(
             "zero-fault mode: {} divergences over {} cases",
-            report.zero_fault_divergences, cfg.cases
+            report.zero_fault_divergences,
+            cfg.cases
         );
     } else {
-        println!("{:<20} {:>8}", "class", "cases");
+        outln!("{:<20} {:>8}", "class", "cases");
         let total = report.tally(None);
         for class in Classification::ALL {
             let n = total.of(class);
             if n > 0 {
-                println!("{:<20} {:>8}", class.label(), n);
+                outln!("{:<20} {:>8}", class.label(), n);
             }
         }
-        println!();
-        println!(
+        outln!();
+        outln!(
             "{:<12} {:>8} {:>8} {:>10} {:>12} {:>6} {:>6}",
-            "site", "injected", "masked", "corrected", "uncorrect.", "sdc", "hang"
+            "site",
+            "injected",
+            "masked",
+            "corrected",
+            "uncorrect.",
+            "sdc",
+            "hang"
         );
         for &site in &cfg.sites {
             let t = report.tally(Some(site));
-            println!(
+            outln!(
                 "{:<12} {:>8} {:>8} {:>10} {:>12} {:>6} {:>6}",
                 site.label(),
                 t.total(),
@@ -157,11 +156,13 @@ fn main() -> ExitCode {
                 t.of(Classification::Hang),
             );
         }
-        println!();
-        println!(
+        outln!();
+        outln!(
             "corrected {} | sdc {} | machine checks {} | scrubs {}",
-            corrected_pct(&report).map_or("n/a".to_owned(), |p| format!("{p:.1}%")),
-            report.count(Classification::Sdc),
+            report
+                .corrected_pct()
+                .map_or("n/a".to_owned(), |p| format!("{p:.1}%")),
+            total.of(Classification::Sdc),
             report
                 .outcomes
                 .iter()
@@ -188,13 +189,13 @@ fn main() -> ExitCode {
         );
     }
     if let Some(cap) = max_sdc {
-        let sdc = report.count(Classification::Sdc);
+        let sdc = report.tally(None).of(Classification::Sdc);
         if sdc > cap {
             return fail("mfault", &format!("{sdc} SDC cases exceed --max-sdc {cap}"));
         }
     }
     if let Some(floor) = min_corrected_pct {
-        match corrected_pct(&report) {
+        match report.corrected_pct() {
             None => {
                 return fail(
                     "mfault",
@@ -215,13 +216,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{corrected_pct, parse_pct};
-    use metal_faultsim::campaign::Report;
-
-    #[test]
-    fn no_evaluated_case_has_no_corrected_rate() {
-        assert_eq!(corrected_pct(&Report::default()), None);
-    }
+    use super::parse_pct;
 
     #[test]
     fn corrected_pct_floor_must_be_a_finite_percentage() {

@@ -36,12 +36,12 @@
 //! [`arch::FULL`], which adds Metal registers, cycles, `instret` and
 //! the ASID, for `--zero-fault` reruns.
 //!
-//! Each worker keeps one machine for the whole campaign, as `mfuzz`
-//! does: a case rewinds it to its blank machine state, installs the
-//! case's Metal extension and loads the victim, so no case constructs
-//! an engine or allocates RAM. The loop victim's extension depends
-//! only on the configuration and is built once per campaign
-//! (`workload::Victims`). The blank restore, the pristine snapshot, each
+//! Each worker keeps one [`Rewindable`] machine for the whole
+//! campaign, the type `mfuzz` runs too: a case rewinds it to its blank
+//! machine state, installs the case's Metal extension and loads the
+//! victim, so no case constructs an engine or allocates RAM. The loop
+//! victim's extension depends only on the configuration and is built
+//! once per campaign (`workload::Victims`). The blank restore, the pristine snapshot, each
 //! rewind and each digest cost the RAM pages the victim wrote, not the
 //! size of RAM.
 
@@ -49,8 +49,8 @@ use crate::fault::{FaultKind, FaultSpec, CACHE_DSIDE};
 use crate::workload::Victims;
 use metal_core::arch::{self, Machine};
 use metal_core::{EccMode, Metal, MetalConfig};
-use metal_pipeline::state::{CoreConfig, MachineSnapshot, TranslationMode};
-use metal_pipeline::{Core, Engine, HaltReason, Interp};
+use metal_pipeline::state::{CoreConfig, TranslationMode};
+use metal_pipeline::{Core, Engine, HaltReason, Interp, Rewindable};
 use metal_trace::FaultSite;
 use metal_util::json::Json;
 use metal_util::{shard, Rng};
@@ -300,12 +300,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Count of outcomes with the given class.
-    #[must_use]
-    pub fn count(&self, class: Classification) -> u64 {
-        self.outcomes.iter().filter(|o| o.class == class).count() as u64
-    }
-
     /// Per-class counts over the cases that attacked `site`, or over
     /// every case when `site` is `None`.
     #[must_use]
@@ -320,15 +314,14 @@ impl Report {
     }
 
     /// Fraction of evaluated (non-skipped) cases that were corrected,
-    /// in percent. 100.0 for an empty campaign.
+    /// in percent, or `None` when the campaign evaluated no case: a rate
+    /// of nothing, which the JSON leaves out, the summary prints as
+    /// `n/a` and the `--min-corrected-pct` gate refuses.
     #[must_use]
-    pub fn corrected_pct(&self) -> f64 {
+    pub fn corrected_pct(&self) -> Option<f64> {
         let tally = self.tally(None);
         let evaluated = tally.total() - tally.of(Classification::Skipped);
-        if evaluated == 0 {
-            return 100.0;
-        }
-        tally.corrected() as f64 * 100.0 / evaluated as f64
+        (evaluated > 0).then(|| tally.corrected() as f64 * 100.0 / evaluated as f64)
     }
 
     /// Serializes the whole report as deterministic JSON (sorted
@@ -389,10 +382,12 @@ impl Report {
             "applied".to_owned(),
             num(self.outcomes.iter().filter(|o| o.applied).count() as u64),
         );
-        totals.insert(
-            "corrected-pct".to_owned(),
-            Json::Num((self.corrected_pct() * 100.0).round() / 100.0),
-        );
+        if let Some(pct) = self.corrected_pct() {
+            totals.insert(
+                "corrected-pct".to_owned(),
+                Json::Num((pct * 100.0).round() / 100.0),
+            );
+        }
         totals.insert(
             "zero-fault-divergences".to_owned(),
             num(self.zero_fault_divergences),
@@ -446,7 +441,7 @@ fn run_typed<E: Engine<Hooks = Metal> + Send>(cfg: &CampaignConfig) -> Report {
         Some(cfg.cases),
         None,
         || None,
-        |worker: &mut Option<Worker<E>>, i| Some(run_case(cfg, &victims, worker, i)),
+        |worker: &mut Option<Rewindable<E>>, i| Some(run_case(cfg, &victims, worker, i)),
     );
     let zero_fault_divergences = outcomes
         .iter()
@@ -455,37 +450,6 @@ fn run_typed<E: Engine<Hooks = Metal> + Send>(cfg: &CampaignConfig) -> Report {
     Report {
         outcomes,
         zero_fault_divergences,
-    }
-}
-
-/// A campaign worker's one machine, kept for the whole campaign, and a
-/// snapshot of its machine state as constructed.
-struct Worker<E> {
-    engine: E,
-    blank: MachineSnapshot,
-}
-
-impl<E: Engine<Hooks = Metal>> Worker<E> {
-    fn new() -> Worker<E> {
-        let engine = E::new(CoreConfig::default(), Metal::new(MetalConfig::default()));
-        Worker {
-            blank: engine.state().snapshot(),
-            engine,
-        }
-    }
-
-    /// Rewinds the machine to its blank state, at the cost of the RAM
-    /// pages the last case wrote, and loads a victim into it: the state
-    /// a freshly constructed engine would have after the same load.
-    fn load(&mut self, metal: Metal, soft_tlb: bool, program: &[u8]) -> &mut E {
-        let engine = &mut self.engine;
-        engine.state_mut().restore(&self.blank);
-        *engine.hooks_mut() = metal;
-        if soft_tlb {
-            engine.state_mut().translation = TranslationMode::SoftTlb;
-        }
-        engine.load_segments([(0u32, program)], 0);
-        engine
     }
 }
 
@@ -557,33 +521,28 @@ fn skipped(index: u64) -> CaseOutcome {
     }
 }
 
-/// Runs the machine to completion, re-asserting a stuck-at fault at
-/// chunk boundaries.
+/// Runs the machine to completion under the watchdog, re-asserting a
+/// stuck-at fault every [`CHUNK`] cycles counted from the start of
+/// the run.
 fn run_faulty<E: Engine<Hooks = Metal>>(engine: &mut E, spec: &FaultSpec) {
-    match spec.kind {
-        FaultKind::Transient => {
-            let _ = engine.run_fuel(FUEL);
-        }
+    let _ = match spec.kind {
+        FaultKind::Transient => engine.run_fuel(FUEL),
         FaultKind::StuckAt { value } => {
-            let mut spent = 0u64;
-            while engine.state().halted.is_none() && spent < FUEL {
-                let _ = engine.run(CHUNK);
-                spent += CHUNK;
-                if engine.state().halted.is_none() {
-                    crate::fault::force(engine, spec, value);
+            let start = engine.state().perf.cycles;
+            engine.run_fuel_observed(FUEL, |e| {
+                let state = e.state();
+                if state.halted.is_none() && (state.perf.cycles - start).is_multiple_of(CHUNK) {
+                    crate::fault::force(e, spec, value);
                 }
-            }
-            if engine.state().halted.is_none() {
-                engine.state_mut().halted = Some(HaltReason::Timeout);
-            }
+            })
         }
-    }
+    };
 }
 
 fn run_case<E: Engine<Hooks = Metal>>(
     cfg: &CampaignConfig,
     victims: &Victims,
-    worker: &mut Option<Worker<E>>,
+    worker: &mut Option<Rewindable<E>>,
     index: u64,
 ) -> CaseOutcome {
     let seed = case_seed(cfg.seed, index);
@@ -591,8 +550,15 @@ fn run_case<E: Engine<Hooks = Metal>>(
     let Ok(built) = victims.build(cfg, seed) else {
         return skipped(index);
     };
-    let machine = worker.get_or_insert_with(Worker::new);
-    let engine = machine.load(built.metal, built.soft_tlb, &built.program);
+    let machine = worker.get_or_insert_with(|| {
+        Rewindable::new(CoreConfig::default(), Metal::new(MetalConfig::default()))
+    });
+    let translation = if built.soft_tlb {
+        TranslationMode::SoftTlb
+    } else {
+        TranslationMode::Bare
+    };
+    let engine = machine.load(built.metal, translation, &built.program);
     let pristine = engine.snapshot();
 
     let golden_halt = engine.run_fuel(FUEL);
@@ -659,18 +625,10 @@ fn run_case<E: Engine<Hooks = Metal>>(
         // role and roll back to the checkpoint. A transient fault is
         // gone after the rewind; a stuck-at fault persists.
         engine.restore(&pristine);
-        match spec.kind {
-            FaultKind::Transient => {
-                let _ = engine.run_fuel(FUEL);
-            }
-            FaultKind::StuckAt { .. } => {
-                if crate::fault::apply(engine, &spec) {
-                    run_faulty(engine, &spec);
-                } else {
-                    let _ = engine.run_fuel(FUEL);
-                }
-            }
+        if matches!(spec.kind, FaultKind::StuckAt { .. }) {
+            crate::fault::apply(engine, &spec);
         }
+        run_faulty(engine, &spec);
         if arch::digest(Machine::of(engine), arch::OUTCOME) == golden {
             Classification::CorrectedRollback
         } else {
@@ -708,5 +666,21 @@ mod tests {
         for (i, &class) in Classification::ALL.iter().enumerate() {
             assert_eq!(class as usize, i, "{}", class.label());
         }
+    }
+
+    #[test]
+    fn no_evaluated_case_has_no_corrected_rate() {
+        let empty = Report::default();
+        assert_eq!(empty.corrected_pct(), None);
+        let json = empty
+            .to_json(&CampaignConfig::default())
+            .to_string_compact();
+        assert!(!json.contains("corrected-pct"), "{json}");
+        // A campaign whose every case was skipped evaluated nothing too.
+        let skipped = Report {
+            outcomes: vec![skipped(0)],
+            ..Report::default()
+        };
+        assert_eq!(skipped.corrected_pct(), None);
     }
 }

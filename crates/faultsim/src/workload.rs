@@ -166,8 +166,7 @@ fn finish(
 
 /// Assembles a guest program image at address 0.
 fn assemble(guest: &str) -> Result<Vec<u8>, String> {
-    let words = metal_asm::assemble_at(guest, 0).map_err(|e| format!("guest assembly: {e}"))?;
-    Ok(words.iter().flat_map(|w| w.to_le_bytes()).collect())
+    metal_asm::assemble_image(guest, 0).map_err(|e| format!("guest assembly: {e}"))
 }
 
 fn build_loop_metal(cfg: &CampaignConfig) -> Result<Built, String> {

@@ -29,13 +29,23 @@
 //! as long as the bug it witnesses exists.
 
 use crate::coverage::fnv1a;
-use crate::exec::{BugKind, CaseResult, CaseRunner, EngineRun};
+use crate::exec::{BugKind, CaseResult, CaseRunner};
 use crate::grammar::{FuzzCase, RoutineSpec};
+use metal_core::arch::Machine;
 use metal_pipeline::{HaltReason, TrapCause};
+use metal_util::cli::parse_num;
 
-/// Renders a case and its reference run as an artifact.
+/// FNV-1a over the MRAM data words as little-endian bytes: the
+/// `expect mramsum` value.
+fn mram_sum(machine: Machine<'_>) -> u64 {
+    let words = machine.metal.mram.data();
+    fnv1a(words.iter().flat_map(|w| w.to_le_bytes()))
+}
+
+/// Renders a case and the reference machine that ran it as an
+/// artifact.
 #[must_use]
-pub fn serialize(case: &FuzzCase, reference: &EngineRun) -> String {
+pub(crate) fn serialize(case: &FuzzCase, reference: Machine<'_>) -> String {
     let mut out = String::new();
     out.push_str("# mfuzz artifact v1\n");
     out.push_str(&format!("# seed {:#018x}\n", case.seed));
@@ -53,7 +63,8 @@ pub fn serialize(case: &FuzzCase, reference: &EngineRun) -> String {
     for line in case.guest.lines().map(str::trim).filter(|l| !l.is_empty()) {
         out.push_str(&format!("| {line}\n"));
     }
-    match &reference.halt {
+    let state = reference.state;
+    match &state.halted {
         Some(HaltReason::Ebreak { code }) => {
             out.push_str(&format!("expect halt ebreak {code}\n"));
         }
@@ -62,21 +73,19 @@ pub fn serialize(case: &FuzzCase, reference: &EngineRun) -> String {
         // arm (hangs are discarded), but keep the mapping total.
         Some(HaltReason::Timeout) | None => out.push_str("expect halt none\n"),
     }
-    out.push_str(&format!("expect instret {}\n", reference.instret));
-    for (i, &v) in reference.regs.iter().enumerate() {
+    out.push_str(&format!("expect instret {}\n", state.perf.instret));
+    for (i, v) in state.regs.snapshot().into_iter().enumerate() {
         if v != 0 {
             out.push_str(&format!("expect reg {i} {v:#010x}\n"));
         }
     }
-    for (i, &v) in reference.mregs.iter().enumerate() {
+    for i in 0..32 {
+        let v = reference.metal.mregs.get(i);
         if v != 0 {
             out.push_str(&format!("expect mreg {i} {v:#010x}\n"));
         }
     }
-    out.push_str(&format!(
-        "expect mramsum {:#018x}\n",
-        fnv1a(reference.mram_data.iter().copied())
-    ));
+    out.push_str(&format!("expect mramsum {:#018x}\n", mram_sum(reference)));
     out
 }
 
@@ -95,13 +104,21 @@ pub struct Expectations {
     pub mramsum: Option<u64>,
 }
 
-fn parse_num(s: &str) -> Result<u64, String> {
-    let s = s.trim();
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).map_err(|e| format!("bad number {s:?}: {e}"))
-    } else {
-        s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
-    }
+/// One number of an artifact line.
+fn number(word: &str) -> Result<u64, String> {
+    parse_num(word).ok_or_else(|| format!("bad number {word:?}"))
+}
+
+/// The next word of a directive as a number; `missing` says what the
+/// directive lacks when there is none.
+fn next_number<'a>(
+    words: &mut impl Iterator<Item = &'a str>,
+    missing: &str,
+) -> Result<u64, String> {
+    words
+        .next()
+        .ok_or_else(|| missing.to_owned())
+        .and_then(number)
 }
 
 /// Parses an artifact back into the case and its expectations.
@@ -138,7 +155,7 @@ pub fn parse(content: &str) -> Result<(FuzzCase, Expectations), String> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("# seed ") {
-            case.seed = parse_num(rest).map_err(err)?;
+            case.seed = number(rest).map_err(err)?;
             continue;
         }
         if line.is_empty() || line.starts_with('#') {
@@ -151,23 +168,14 @@ pub fn parse(content: &str) -> Result<(FuzzCase, Expectations), String> {
                 other => return Err(err(format!("bad config {other:?}"))),
             },
             Some("delegate") => {
-                let code = words
-                    .next()
-                    .ok_or_else(|| err("delegate needs a cause".into()))
-                    .and_then(|w| parse_num(w).map_err(err))?;
-                let entry = words
-                    .next()
-                    .ok_or_else(|| err("delegate needs an entry".into()))
-                    .and_then(|w| parse_num(w).map_err(err))?;
+                let code = next_number(&mut words, "delegate needs a cause").map_err(err)?;
+                let entry = next_number(&mut words, "delegate needs an entry").map_err(err)?;
                 let cause = TrapCause::from_code(code as u32)
                     .ok_or_else(|| err(format!("unknown trap cause {code}")))?;
                 case.delegations.push((cause, entry as u8));
             }
             Some("routine") => {
-                let entry = words
-                    .next()
-                    .ok_or_else(|| err("routine needs an entry".into()))
-                    .and_then(|w| parse_num(w).map_err(err))?;
+                let entry = next_number(&mut words, "routine needs an entry").map_err(err)?;
                 let name = words.next().unwrap_or("unnamed").to_owned();
                 case.routines.push(RoutineSpec::new(entry as u8, &name, ""));
                 section = Section::Routine(case.routines.len() - 1);
@@ -178,20 +186,15 @@ pub fn parse(content: &str) -> Result<(FuzzCase, Expectations), String> {
                     expect.halt = Some(words.collect::<Vec<_>>().join(" "));
                 }
                 Some("instret") => {
-                    let n = words
-                        .next()
-                        .ok_or_else(|| err("expect instret needs a value".into()))?;
-                    expect.instret = Some(parse_num(n).map_err(err)?);
+                    let n = next_number(&mut words, "expect instret needs a value");
+                    expect.instret = Some(n.map_err(err)?);
                 }
                 Some(which @ ("reg" | "mreg")) => {
-                    let n = words
-                        .next()
-                        .ok_or_else(|| err("expect reg needs an index".into()))
-                        .and_then(|w| parse_num(w).map_err(err))?;
-                    let v = words
-                        .next()
-                        .ok_or_else(|| err("expect reg needs a value".into()))
-                        .and_then(|w| parse_num(w).map_err(err))?;
+                    let n = next_number(&mut words, "expect reg needs an index").map_err(err)?;
+                    if n >= 32 {
+                        return Err(err(format!("no register {which} {n}")));
+                    }
+                    let v = next_number(&mut words, "expect reg needs a value").map_err(err)?;
                     let list = if which == "reg" {
                         &mut expect.regs
                     } else {
@@ -200,10 +203,8 @@ pub fn parse(content: &str) -> Result<(FuzzCase, Expectations), String> {
                     list.push((n as usize, v as u32));
                 }
                 Some("mramsum") => {
-                    let n = words
-                        .next()
-                        .ok_or_else(|| err("expect mramsum needs a value".into()))?;
-                    expect.mramsum = Some(parse_num(n).map_err(err)?);
+                    let n = next_number(&mut words, "expect mramsum needs a value");
+                    expect.mramsum = Some(n.map_err(err)?);
                 }
                 other => return Err(err(format!("unknown expectation {other:?}"))),
             },
@@ -229,41 +230,40 @@ fn halt_string(halt: &Option<HaltReason>) -> String {
     }
 }
 
-/// Checks a fresh run against an artifact's expectations.
-fn check(result: &CaseResult, expect: &Expectations) -> Result<(), String> {
+/// Checks a fresh run, and the reference machine it left, against an
+/// artifact's expectations.
+fn check(result: &CaseResult, reference: Machine<'_>, expect: &Expectations) -> Result<(), String> {
     if let Some(d) = &result.divergence {
         return Err(format!("engines diverged: {d}"));
     }
-    let run = &result.interp;
+    let state = reference.state;
     if let Some(want) = &expect.halt {
-        let got = halt_string(&run.halt);
+        let got = halt_string(&state.halted);
         if &got != want {
             return Err(format!("halt: expected {want:?}, got {got:?}"));
         }
     }
     if let Some(want) = expect.instret {
-        if run.instret != want {
-            return Err(format!("instret: expected {want}, got {}", run.instret));
+        let got = state.perf.instret;
+        if got != want {
+            return Err(format!("instret: expected {want}, got {got}"));
         }
     }
+    let regs = state.regs.snapshot();
     for &(i, want) in &expect.regs {
-        if run.regs[i] != want {
-            return Err(format!(
-                "x{i}: expected {want:#010x}, got {:#010x}",
-                run.regs[i]
-            ));
+        let got = regs[i];
+        if got != want {
+            return Err(format!("x{i}: expected {want:#010x}, got {got:#010x}"));
         }
     }
     for &(i, want) in &expect.mregs {
-        if run.mregs[i] != want {
-            return Err(format!(
-                "m{i}: expected {want:#010x}, got {:#010x}",
-                run.mregs[i]
-            ));
+        let got = reference.metal.mregs.get(i);
+        if got != want {
+            return Err(format!("m{i}: expected {want:#010x}, got {got:#010x}"));
         }
     }
     if let Some(want) = expect.mramsum {
-        let got = fnv1a(run.mram_data.iter().copied());
+        let got = mram_sum(reference);
         if got != want {
             return Err(format!(
                 "mram checksum: expected {want:#018x}, got {got:#018x}"
@@ -279,7 +279,7 @@ pub fn replay(content: &str, bug: BugKind) -> Result<(), String> {
     let (case, expect) = parse(content)?;
     let mut runner = CaseRunner::new(bug);
     let result = runner.run(&case).map_err(|e| e.0)?;
-    check(&result, &expect)
+    check(&result, runner.reference(), &expect)
 }
 
 #[cfg(test)]
@@ -303,7 +303,7 @@ mod tests {
         for seed in [7u64, 42, 1013] {
             let case = grammar::generate(seed);
             let result = runner.run(&case).unwrap();
-            let text = serialize(&case, &result.interp);
+            let text = serialize(&case, runner.reference());
             let (parsed, expect) = parse(&text).unwrap();
             assert_eq!(parsed.guest, normalize(&case.guest), "seed {seed}");
             assert_eq!(parsed.delegations, case.delegations);
@@ -314,7 +314,7 @@ mod tests {
                 assert_eq!(a.entry, b.entry);
                 assert_eq!(a.src, normalize(&b.src));
             }
-            assert!(expect.instret.is_some());
+            assert_eq!(expect.instret, Some(result.interp.instret), "seed {seed}");
         }
     }
 
@@ -324,7 +324,7 @@ mod tests {
         let case = grammar::generate(3);
         let result = runner.run(&case).unwrap();
         assert!(result.divergence.is_none() && !result.hang);
-        let text = serialize(&case, &result.interp);
+        let text = serialize(&case, runner.reference());
         replay(&text, BugKind::None).expect("recorded run replays clean");
     }
 
@@ -332,9 +332,9 @@ mod tests {
     fn replay_detects_tampered_expectation() {
         let mut runner = CaseRunner::new(BugKind::None);
         let case = grammar::generate(3);
-        let result = runner.run(&case).unwrap();
+        runner.run(&case).unwrap();
         // Mangle the recorded instret to a wrong value.
-        let mut lines: Vec<String> = serialize(&case, &result.interp)
+        let mut lines: Vec<String> = serialize(&case, runner.reference())
             .lines()
             .map(str::to_owned)
             .collect();
@@ -352,6 +352,7 @@ mod tests {
         assert!(parse("frobnicate 1 2\n").is_err());
         assert!(parse("| stray body line\n").is_err());
         assert!(parse("delegate 99999 2\n").is_err());
+        assert!(parse("expect mreg 32 0x1\n").is_err());
         // Text with nothing to check is not an artifact.
         assert!(parse("").is_err());
         assert!(parse("# comment\n").is_err());

@@ -35,6 +35,7 @@
 
 use metal_fuzz::{artifact, exec::BugKind, run_campaign, CampaignConfig};
 use metal_util::cli::{parse_num, usage};
+use metal_util::outln;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -89,7 +90,7 @@ fn main() -> ExitCode {
         config.seconds = Some(5);
     }
     let report = run_campaign(&config);
-    println!(
+    outln!(
         "mfuzz: {} cases ({} hangs, {} rejects), {} coverage bits, {} corpus artifacts, {} divergences",
         report.cases,
         report.hangs,
@@ -104,9 +105,11 @@ fn main() -> ExitCode {
             .as_deref()
             .map(|p| format!(" -> {}", p.display()))
             .unwrap_or_default();
-        println!(
+        outln!(
             "  divergence (seed {:#018x}, {} insns): {}{via}",
-            div.seed, div.insns, div.what
+            div.seed,
+            div.insns,
+            div.what
         );
     }
     if report.divergences.is_empty() {
@@ -128,21 +131,21 @@ fn replay_all(paths: &[String], bug: BugKind, lint: bool) -> ExitCode {
             }
         };
         match artifact::replay(&content, bug) {
-            Ok(()) => println!("replay {path}: ok"),
+            Ok(()) => outln!("replay {path}: ok"),
             Err(e) => {
-                println!("replay {path}: FAILED: {e}");
+                outln!("replay {path}: FAILED: {e}");
                 failed = true;
             }
         }
         if lint {
             match lint_replay(&content, bug) {
-                Ok(None) => println!("lint {path}: sound"),
+                Ok(None) => outln!("lint {path}: sound"),
                 Ok(Some(what)) => {
-                    println!("lint {path}: FAILED: {what}");
+                    outln!("lint {path}: FAILED: {what}");
                     failed = true;
                 }
                 Err(e) => {
-                    println!("lint {path}: FAILED: {e}");
+                    outln!("lint {path}: FAILED: {e}");
                     failed = true;
                 }
             }

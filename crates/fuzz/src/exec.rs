@@ -1,14 +1,14 @@
-//! Case execution: three persistent engines reset by snapshot/restore.
+//! Case execution: three persistent engines rewound between cases.
 //!
 //! A [`CaseRunner`] owns a pipelined core (decode cache on), a second
 //! pipelined core (decode cache off), and the reference interpreter,
 //! each a `Core<Metal>` or `Interp<Metal>` constructed **once**: the
-//! machine type every other tool runs. Between cases each machine's
-//! state is rewound to its blank snapshot with
-//! [`MachineState::restore`] — a copy of the RAM pages the case wrote
-//! plus field copies, microseconds instead of a rebuild — and only the
-//! per-case Metal extension (mroutines, delegations) is constructed
-//! fresh and installed once per engine.
+//! machine type every other tool runs. Each is a
+//! [`Rewindable`] engine, the per-worker machine `mfault` uses too:
+//! a case rewinds it to its blank state — a copy of the RAM pages the
+//! last case wrote plus field copies, microseconds instead of a
+//! rebuild — and installs the case's Metal extension (mroutines,
+//! delegations), built once per case.
 //!
 //! The differential oracle compares the architectural state that
 //! [`metal_core::arch`] defines — halt, registers, CSRs, ASID,
@@ -33,8 +33,8 @@ use metal_core::arch::{self, Machine};
 use metal_core::{Metal, MetalConfig};
 use metal_isa::insn::{Insn, MulOp};
 use metal_isa::{decode_to, DecodedInsn};
-use metal_pipeline::state::{CoreConfig, MachineSnapshot, MachineState, TranslationMode};
-use metal_pipeline::{Core, Engine, HaltReason, Interp};
+use metal_pipeline::state::{CoreConfig, MachineState, TranslationMode};
+use metal_pipeline::{Core, Engine, HaltReason, Interp, Rewindable};
 use metal_trace::{Event, EventKind, TraceConfig, TraceHandle};
 
 /// Cycle budget per case on the pipelined cores.
@@ -73,17 +73,14 @@ impl BugKind {
     }
 }
 
-/// Everything observed from one engine's run of one case.
+/// What the oracles and the coverage map read from one engine's run
+/// of one case. The final architectural state stays in the engine
+/// until the next case: the oracle compares the machines themselves,
+/// and artifacts record the reference interpreter's.
 #[derive(Clone, Debug)]
 pub struct EngineRun {
     /// How (and whether) the machine halted.
     pub halt: Option<HaltReason>,
-    /// Final general-purpose registers.
-    pub regs: [u32; 32],
-    /// Final Metal registers m0..m31.
-    pub mregs: [u32; 32],
-    /// Final MRAM private-data segment.
-    pub mram_data: Vec<u8>,
     /// Retired instructions.
     pub instret: u64,
     /// The run's trace events (coverage input; their `Retire` events
@@ -179,18 +176,13 @@ pub struct CaseResult {
 #[derive(Clone, Debug)]
 pub struct BuildError(pub String);
 
-/// Three persistent engines plus snapshots of their blank states.
+/// Three persistent engines, each rewound to its blank state between
+/// cases.
 pub struct CaseRunner {
-    core_dc: Rig<Core<Metal>>,
-    core_nodc: Rig<Core<Metal>>,
-    interp: Rig<Interp<Metal>>,
+    core_dc: Rewindable<Core<Metal>>,
+    core_nodc: Rewindable<Core<Metal>>,
+    interp: Rewindable<Interp<Metal>>,
     bug: BugKind,
-}
-
-/// One persistent engine and a snapshot of its machine state as built.
-struct Rig<E> {
-    engine: E,
-    blank: MachineSnapshot,
 }
 
 /// RAM size of the fuzzing machines. Generated programs touch only
@@ -202,78 +194,55 @@ struct Rig<E> {
 pub const FUZZ_RAM: usize = 64 << 10;
 const _: () = assert!(SCRATCH_BASE as usize + 64 <= FUZZ_RAM);
 
-fn fuzz_config(decode_cache: bool) -> CoreConfig {
-    CoreConfig {
+fn fuzz_machine<E: Engine<Hooks = Metal>>(decode_cache: bool) -> Rewindable<E> {
+    let config = CoreConfig {
         ram_bytes: FUZZ_RAM,
         decode_cache,
         ..CoreConfig::default()
-    }
+    };
+    Rewindable::new(config, Metal::new(MetalConfig::default()))
 }
 
-impl<E: Engine<Hooks = Metal>> Rig<E> {
-    fn new(decode_cache: bool) -> Rig<E> {
-        let engine = E::new(
-            fuzz_config(decode_cache),
-            Metal::new(MetalConfig::default()),
-        );
-        Rig {
-            blank: engine.state().snapshot(),
-            engine,
-        }
-    }
+/// A case as the machines load it: its Metal extension, translation
+/// mode and guest image.
+struct Load {
+    metal: Metal,
+    translation: TranslationMode,
+    program: Vec<u8>,
+}
 
-    /// Rewinds the machine to its blank state, installs the case's
-    /// Metal extension, and runs `program` from address 0 for at most
-    /// `limit` cycles.
-    fn run(
-        &mut self,
-        metal: &Metal,
-        bug: BugKind,
-        soft_tlb: bool,
-        program: &[u8],
-        limit: u64,
-    ) -> EngineRun {
-        let engine = &mut self.engine;
-        engine.state_mut().restore(&self.blank);
-        *engine.hooks_mut() = metal.clone();
-        engine
-            .state_mut()
-            .set_trace(TraceHandle::enabled(TraceConfig {
-                capacity: TRACE_EVENTS,
-                ..TraceConfig::default()
-            }));
-        if soft_tlb {
-            engine.state_mut().translation = TranslationMode::SoftTlb;
+/// Rewinds `machine`, loads the case into it, and runs it under a
+/// fresh trace for at most `limit` cycles.
+fn run_on<E: Engine<Hooks = Metal>>(
+    machine: &mut Rewindable<E>,
+    load: &Load,
+    bug: BugKind,
+    limit: u64,
+) -> EngineRun {
+    let engine = machine.load(load.metal.clone(), load.translation, &load.program);
+    engine
+        .state_mut()
+        .set_trace(TraceHandle::enabled(TraceConfig {
+            capacity: TRACE_EVENTS,
+            ..TraceConfig::default()
+        }));
+    let halt = Some(match bug {
+        BugKind::None => engine.run_fuel(limit),
+        BugKind::MulLowBit => {
+            let mut instret = engine.state().perf.instret;
+            engine.run_fuel_observed(limit, |e| flip_retired_mul(e, &mut instret))
         }
-        // `load_segments` also sets the PC, clearing in-flight work.
-        engine.load_segments([(0u32, program)], 0);
-        let halt = Some(match bug {
-            BugKind::None => engine.run_fuel(limit),
-            BugKind::MulLowBit => {
-                let mut instret = engine.state().perf.instret;
-                engine.run_fuel_observed(limit, |e| flip_retired_mul(e, &mut instret))
-            }
-        });
-        let state = engine.state();
-        let metal = engine.hooks();
-        let events = state.trace.events();
-        let tags = retired_pcs(&events)
-            .filter_map(|pc| decoded_at(state, metal, pc))
-            .fold(0, |tags, d| tags | 1 << d.tag as u32);
-        EngineRun {
-            halt,
-            regs: state.regs.snapshot(),
-            mregs: std::array::from_fn(|n| metal.mregs.get(n)),
-            mram_data: metal
-                .mram
-                .data()
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .collect(),
-            instret: state.perf.instret,
-            events,
-            tags,
-        }
+    });
+    let state = engine.state();
+    let events = state.trace.events();
+    let tags = retired_pcs(&events)
+        .filter_map(|pc| decoded_at(state, engine.hooks(), pc))
+        .fold(0, |tags, d| tags | 1 << d.tag as u32);
+    EngineRun {
+        halt,
+        instret: state.perf.instret,
+        events,
+        tags,
     }
 }
 
@@ -284,38 +253,46 @@ impl CaseRunner {
     #[must_use]
     pub fn new(bug: BugKind) -> CaseRunner {
         CaseRunner {
-            core_dc: Rig::new(true),
-            core_nodc: Rig::new(false),
-            interp: Rig::new(true),
+            core_dc: fuzz_machine(true),
+            core_nodc: fuzz_machine(false),
+            interp: fuzz_machine(true),
             bug,
         }
     }
 
+    /// The reference interpreter as the last case left it: what
+    /// artifacts record and replays check.
+    pub(crate) fn reference(&self) -> Machine<'_> {
+        Machine::of(self.interp.engine())
+    }
+
     /// Builds the per-case Metal extension and assembles the guest.
-    fn prepare(case: &FuzzCase) -> Result<(Metal, Vec<u8>), BuildError> {
+    fn prepare(case: &FuzzCase) -> Result<Load, BuildError> {
         let (metal, palcode, _warnings) = case
             .metal_builder()
             .build()
             .map_err(|e| BuildError(format!("metal build: {e:?}")))?;
         debug_assert!(palcode.is_empty(), "fuzz cases use MRAM dispatch");
-        let words = metal_asm::assemble_at(&case.guest, 0)
+        let program = metal_asm::assemble_image(&case.guest, 0)
             .map_err(|e| BuildError(format!("guest assembly: {e}")))?;
-        let program = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        Ok((metal, program))
+        let translation = if case.soft_tlb {
+            TranslationMode::SoftTlb
+        } else {
+            TranslationMode::Bare
+        };
+        Ok(Load {
+            metal,
+            translation,
+            program,
+        })
     }
 
     /// Runs one case on all three machines and applies both oracles.
     pub fn run(&mut self, case: &FuzzCase) -> Result<CaseResult, BuildError> {
-        let (metal, program) = Self::prepare(case)?;
-        let core = self
-            .core_dc
-            .run(&metal, self.bug, case.soft_tlb, &program, CORE_LIMIT);
-        let nodc = self
-            .core_nodc
-            .run(&metal, self.bug, case.soft_tlb, &program, CORE_LIMIT);
-        let interp = self
-            .interp
-            .run(&metal, BugKind::None, case.soft_tlb, &program, INTERP_LIMIT);
+        let load = Self::prepare(case)?;
+        let core = run_on(&mut self.core_dc, &load, self.bug, CORE_LIMIT);
+        let nodc = run_on(&mut self.core_nodc, &load, self.bug, CORE_LIMIT);
+        let interp = run_on(&mut self.interp, &load, BugKind::None, INTERP_LIMIT);
         let hang = [&core, &nodc, &interp]
             .iter()
             .any(|r| matches!(r.halt, None | Some(HaltReason::Timeout)));
@@ -336,9 +313,9 @@ impl CaseRunner {
     /// on the first mismatch.
     fn diff(&self, core: &EngineRun, nodc: &EngineRun, interp: &EngineRun) -> Option<String> {
         let (on, off, reference) = (
-            machine(&self.core_dc.engine),
-            machine(&self.core_nodc.engine),
-            machine(&self.interp.engine),
+            Machine::of(self.core_dc.engine()),
+            Machine::of(self.core_nodc.engine()),
+            self.reference(),
         );
         // A Fatal stop is a simulator abort, not architectural behavior:
         // the pipeline abandons older in-flight instructions (they never
@@ -386,13 +363,6 @@ fn retirement_mismatch(a: &EngineRun, b: &EngineRun) -> Option<u64> {
         .zip(&b_pcs[b_pcs.len() - kept..])
         .position(|(x, y)| x != y)?;
     Some(a.instret - kept as u64 + first as u64)
-}
-
-fn machine<E: Engine<Hooks = Metal>>(engine: &E) -> Machine<'_> {
-    Machine {
-        state: engine.state(),
-        metal: engine.hooks(),
-    }
 }
 
 #[cfg(test)]
@@ -528,12 +498,21 @@ mod tests {
         let mut runner = CaseRunner::new(BugKind::None);
         let a = grammar::generate(11);
         let b = grammar::generate(12);
+        let digests = |runner: &CaseRunner| {
+            [
+                Machine::of(runner.core_dc.engine()),
+                Machine::of(runner.core_nodc.engine()),
+                runner.reference(),
+            ]
+            .map(|m| arch::digest(m, arch::ALL))
+        };
         let first = runner.run(&a).unwrap();
+        let first_state = digests(&runner);
         runner.run(&b).unwrap();
+        assert_ne!(digests(&runner), first_state, "B leaves another state");
         let again = runner.run(&a).unwrap();
-        assert_eq!(first.core.regs, again.core.regs);
+        assert_eq!(digests(&runner), first_state);
         assert_eq!(first.core.instret, again.core.instret);
-        assert_eq!(first.interp.regs, again.interp.regs);
         // The cycle-stamped trace pins timing as well as order.
         assert_eq!(first.core.events, again.core.events);
     }

@@ -11,9 +11,9 @@
 //! human-readable, replayable artifacts ([`artifact`]); diverging
 //! inputs are minimized to small repros ([`shrink`]).
 //!
-//! Case reset uses the engine snapshot/restore path
-//! ([`metal_pipeline::Engine::snapshot`]) so each case costs a copy of
-//! the RAM pages it wrote, not a machine rebuild.
+//! Each worker keeps its three engines for the whole campaign as
+//! [`metal_pipeline::Rewindable`] machines, so a case costs a copy of
+//! the RAM pages the last one wrote, not a machine rebuild.
 //!
 //! # Determinism
 //!
@@ -217,7 +217,7 @@ impl Worker {
         let text = config
             .corpus_dir
             .as_ref()
-            .map(|_| artifact::serialize(&case, &result.interp));
+            .map(|_| artifact::serialize(&case, self.runner.reference()));
         Some(Found::New { features, text })
     }
 }
@@ -248,13 +248,15 @@ fn report_finding(
     };
     // Re-run the final case: the artifact records the *reference*
     // expectations, so replay keeps failing while the bug lives.
-    let (what, reference) = match runner.run(&shrunk) {
-        Ok(r) => ((oracle.check)(&shrunk, &r).unwrap_or(what), Some(r.interp)),
+    let (what, text) = match runner.run(&shrunk) {
+        Ok(r) => (
+            (oracle.check)(&shrunk, &r).unwrap_or(what),
+            Some(artifact::serialize(&shrunk, runner.reference())),
+        ),
         Err(_) => (what, None),
     };
-    let artifact = corpus_dir.zip(reference).and_then(|(dir, reference)| {
+    let artifact = corpus_dir.zip(text).and_then(|(dir, text)| {
         let path = dir.join(format!("{}_{:016x}.s", oracle.tag, case.seed));
-        let text = artifact::serialize(&shrunk, &reference);
         std::fs::write(&path, text).ok().map(|()| path)
     });
     Divergence {

@@ -14,6 +14,7 @@ use std::process::ExitCode;
 
 use metal_lint::{lint_source, Level, LintConfig, UnitKind, MRAM_BASE};
 use metal_util::cli::{parse_u32, usage};
+use metal_util::outln;
 
 const USAGE: &str = "mlint [--program|--mroutine] [--base ADDR] [--nested] [--budget N] \
                      [--data-bytes N] [--deny-warnings] FILE...";
@@ -84,7 +85,7 @@ fn main() -> ExitCode {
             }
         };
         for d in &diags {
-            println!("{}", d.render(file));
+            outln!("{}", d.render(file));
             if d.level == Level::Deny || deny_warnings {
                 failed = true;
             }

@@ -28,6 +28,7 @@ use metal_mem::devices::{map, Console, Timer};
 use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks, HANG_WINDOW};
 use metal_trace::{TraceConfig, TraceHandle};
 use metal_util::cli::{fail, parse_num, parse_u32, usage};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "msim image.bin [--engine pipeline|interp] [--base 0xADDR] [--entry 0xADDR] [--max-cycles N] [--perf] [--trace out.json] [--metrics out.json]";
@@ -141,7 +142,8 @@ fn run_sim<E: Engine<Hooks = NoHooks>>(opts: &Opts) -> ExitCode {
     let halt = machine.run_fuel(opts.max_cycles);
     let bytes = out.lock().clone();
     if !bytes.is_empty() {
-        print!("{}", String::from_utf8_lossy(&bytes));
+        // A closed stdout drops the console output, not the exit code.
+        let _ = write!(io::stdout(), "{}", String::from_utf8_lossy(&bytes));
     }
     if opts.perf {
         let state = machine.state();

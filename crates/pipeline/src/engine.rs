@@ -17,7 +17,7 @@
 //! engine's `step` directly.
 
 use crate::hooks::Hooks;
-use crate::state::{CoreConfig, HaltReason, MachineSnapshot, MachineState};
+use crate::state::{CoreConfig, HaltReason, MachineSnapshot, MachineState, TranslationMode};
 
 /// A point-in-time copy of an engine: the machine state, the extension
 /// hooks, and the program counter. Taken with [`Engine::snapshot`] and
@@ -34,6 +34,50 @@ pub struct EngineSnapshot<H: Hooks + Clone> {
     machine: MachineSnapshot,
     hooks: H,
     pc: u32,
+}
+
+/// An engine and a snapshot of its machine state as constructed: the
+/// per-worker machine of the campaign tools (`mfuzz`, `mfault`).
+/// [`Rewindable::load`] gives the state a freshly constructed engine
+/// has after the same load, at the cost of the RAM pages the last run
+/// wrote (see [`MachineState::restore`]); only the trace handle is
+/// kept across it.
+pub struct Rewindable<E> {
+    engine: E,
+    blank: MachineSnapshot,
+}
+
+impl<E: Engine> Rewindable<E> {
+    /// Builds the engine and snapshots its blank state.
+    pub fn new(config: CoreConfig, hooks: E::Hooks) -> Rewindable<E> {
+        let engine = E::new(config, hooks);
+        Rewindable {
+            blank: engine.state().snapshot(),
+            engine,
+        }
+    }
+
+    /// Rewinds to the blank state, installs `hooks`, sets the
+    /// translation mode, and loads `program` at address 0 to run from
+    /// there ([`Engine::load_segments`]).
+    pub fn load(
+        &mut self,
+        hooks: E::Hooks,
+        translation: TranslationMode,
+        program: &[u8],
+    ) -> &mut E {
+        let engine = &mut self.engine;
+        engine.state_mut().restore(&self.blank);
+        *engine.hooks_mut() = hooks;
+        engine.state_mut().translation = translation;
+        engine.load_segments([(0, program)], 0);
+        engine
+    }
+
+    /// The engine, as the last load and run left it.
+    pub fn engine(&self) -> &E {
+        &self.engine
+    }
 }
 
 /// Cycles without a retirement, outside `wfi`, that [`Engine::run_fuel`] calls a hang.

@@ -8,7 +8,9 @@
 //! * [`func::Interp`] — a functional reference interpreter used for
 //!   differential testing (same [`state::MachineState`], no timing).
 //! * [`engine::Engine`] — the common trait over both engines
-//!   (construct / load / run / inspect), so harnesses are written once.
+//!   (construct / load / run / inspect), so harnesses are written once,
+//!   and [`engine::Rewindable`], the engine a campaign worker rewinds
+//!   between cases.
 //! * [`hooks::Hooks`] — the extension interface Metal attaches to
 //!   (pre-decoded fetch, decode replacement, custom execute, trap
 //!   delegation).
@@ -28,7 +30,7 @@ pub(crate) mod pipeline;
 pub mod state;
 pub mod trap;
 
-pub use engine::{Engine, EngineSnapshot, HANG_WINDOW};
+pub use engine::{Engine, EngineSnapshot, Rewindable, HANG_WINDOW};
 pub use func::Interp;
 pub use hooks::{CustomExec, DecodeOutcome, Hooks, NoHooks, TrapDisposition, TrapEvent};
 pub use pipeline::Core;

@@ -1,7 +1,7 @@
 //! Pipeline corner cases: interactions between hazards, variable
 //! latency, traps, and interrupts.
 
-use metal_asm::assemble_at;
+use metal_asm::assemble_image;
 use metal_isa::reg::Reg;
 use metal_mem::devices::{map, Timer};
 use metal_mem::CacheConfig;
@@ -28,8 +28,7 @@ fn core() -> Core<NoHooks> {
 }
 
 fn run(core: &mut Core<NoHooks>, src: &str) -> HaltReason {
-    let words = assemble_at(src, 0).unwrap_or_else(|e| panic!("{e}"));
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = assemble_image(src, 0).unwrap_or_else(|e| panic!("{e}"));
     core.load_segments([(0u32, bytes.as_slice())], 0);
     core.run(1_000_000).expect("program should halt")
 }

@@ -1,7 +1,7 @@
 //! Behavioural and timing tests for the pipelined core, driven by
 //! assembled programs.
 
-use metal_asm::assemble_at;
+use metal_asm::assemble_image;
 use metal_isa::reg::Reg;
 use metal_mem::CacheConfig;
 use metal_pipeline::{Core, CoreConfig, Engine, HaltReason, Interp, NoHooks, TrapCause};
@@ -28,13 +28,9 @@ fn ideal_core() -> Core<NoHooks> {
     )
 }
 
-fn to_bytes(words: &[u32]) -> Vec<u8> {
-    words.iter().flat_map(|w| w.to_le_bytes()).collect()
-}
-
 fn load_asm(core: &mut Core<NoHooks>, src: &str) {
-    let words = assemble_at(src, 0).unwrap_or_else(|e| panic!("{e}"));
-    core.load_segments([(0u32, to_bytes(&words).as_slice())], 0);
+    let bytes = assemble_image(src, 0).unwrap_or_else(|e| panic!("{e}"));
+    core.load_segments([(0u32, bytes.as_slice())], 0);
 }
 
 fn run_asm(core: &mut Core<NoHooks>, src: &str) -> HaltReason {
@@ -386,10 +382,9 @@ fn long_wfi_sleep_is_not_a_hang() {
 fn trap_loop_without_retirement_times_out_on_both_engines() {
     // mtvec points at an illegal word, so the handler's first instruction
     // traps back to itself forever: only `li` and `csrw` ever retire.
-    let mut words = assemble_at("li t0, 12\n csrw mtvec, t0\n ecall", 0).unwrap();
-    assert_eq!(words.len(), 3);
-    words.push(0xFFFF_FFFF);
-    let bytes = to_bytes(&words);
+    let mut bytes = assemble_image("li t0, 12\n csrw mtvec, t0\n ecall", 0).unwrap();
+    assert_eq!(bytes.len(), 12);
+    bytes.extend(0xFFFF_FFFFu32.to_le_bytes());
 
     let mut core = Core::new(CoreConfig::default(), NoHooks);
     core.load_segments([(0u32, bytes.as_slice())], 0);

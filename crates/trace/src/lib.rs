@@ -119,14 +119,6 @@ impl TraceHandle {
         })))
     }
 
-    /// True when events are being recorded. Use to skip argument
-    /// computation that only feeds [`TraceHandle::emit`].
-    #[inline]
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Publishes the current cycle (called by the pipeline each tick).
     #[inline]
     pub fn set_now(&self, cycle: u64) {
@@ -209,7 +201,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = TraceHandle::disabled();
-        assert!(!t.is_enabled());
+        assert!(t.0.is_none(), "a disabled handle has no ring");
         t.set_now(99);
         t.emit(EventKind::Flush { target: 4 });
         assert_eq!(t.now(), 0);

@@ -1,6 +1,6 @@
-//! Argument-parsing helpers shared by the `msim`, `masm`, and `mdis`
-//! binaries, so number syntax and usage/exit conventions stay identical
-//! across tools.
+//! Argument-parsing and printing helpers shared by the command-line
+//! tools, so number syntax, usage/exit conventions and the handling of
+//! a closed stdout stay identical across tools.
 
 use std::process::ExitCode;
 
@@ -19,6 +19,17 @@ pub fn parse_num(s: &str) -> Option<u64> {
 #[must_use]
 pub fn parse_u32(s: &str) -> Option<u32> {
     parse_num(s).and_then(|v| u32::try_from(v).ok())
+}
+
+/// `println!` that drops the line on a write error (a closed pipe, as
+/// in `mfuzz … | head -1`) instead of panicking, so a tool's output
+/// ends quietly and its exit code stays the one it earned.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
 }
 
 /// Prints a `tool: message` error line and returns the failure exit

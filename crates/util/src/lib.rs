@@ -8,8 +8,8 @@
 //!   ("property") tests in place of a property-testing framework.
 //! * [`json`] — a minimal JSON writer and reader, enough for metrics
 //!   snapshots and Chrome trace-event files.
-//! * [`cli`] — the argument-parsing helpers shared by the `msim`,
-//!   `masm`, and `mdis` binaries.
+//! * [`cli`] — the argument-parsing helpers and the [`outln!`] report
+//!   printer shared by the command-line tools.
 //! * [`shard`] — the deterministic case runner behind the `mfuzz` and
 //!   `mfault` campaigns.
 //! * [`Mutex`] — a mutex whose `lock()` ignores poison, shared by the

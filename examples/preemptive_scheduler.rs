@@ -61,8 +61,7 @@ fn main() {
         "li s0, {DATA_VA:#x}\nloop:\n lw t0, 0(s0)\n addi t0, t0, 1\n sw t0, 0(s0)\n j loop"
     );
     for (src, (code_pa, _)) in [&p0, &p1].iter().zip(FRAMES.iter()) {
-        let words = metal_asm::assemble_at(src, CODE_VA).expect("process assembles");
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bytes = metal_asm::assemble_image(src, CODE_VA).expect("process assembles");
         core.state.bus.ram.load(*code_pa, &bytes).unwrap();
     }
     write_pcb(&mut core.state.bus.ram, 0, CODE_VA, 0);
@@ -76,8 +75,7 @@ fn main() {
         sched::entries::INIT,
         sched::entries::START
     );
-    let words = metal_asm::assemble_at(&boot, 0).unwrap();
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = metal_asm::assemble_image(&boot, 0).unwrap();
     core.load_segments([(0u32, bytes.as_slice())], 0);
 
     let halt = core.run(10_000_000);

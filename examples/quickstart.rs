@@ -51,8 +51,7 @@ fn main() {
         .expect("mroutine assembles and verifies");
 
     // Load and run the application.
-    let words = metal_asm::assemble_at(APP, 0).expect("application assembles");
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = metal_asm::assemble_image(APP, 0).expect("application assembles");
     core.load_segments([(0u32, bytes.as_slice())], 0);
 
     match core.run(1_000_000) {

@@ -70,6 +70,27 @@ if [[ -z $cycles || $cycles -gt 100000 ]]; then
 fi
 rm -r "$out"
 
+echo "==> closed stdout (mfuzz, mfault)"
+# A reader that closes the pipe early ends the report, not the tool:
+# no panic, and the exit code the campaign earned (the injected bug is
+# found, so mfuzz exits 1). The reader here closes at once: `head -1`
+# can read a short report whole before it exits, and then no write
+# ever fails.
+out=$(mktemp -d)
+closed_stdout() {
+    local want=$1 status=0
+    shift
+    "$@" 2> "$out/stderr" | true || status=${PIPESTATUS[0]}
+    if [[ $status != "$want" ]] || grep -q panicked "$out/stderr"; then
+        echo "$* with a closed stdout exited $status, expected $want:"
+        cat "$out/stderr"
+        exit 1
+    fi
+}
+closed_stdout 1 target/release/mfuzz --cases 200 --seed 7 --inject-bug mul --no-shrink
+closed_stdout 0 target/release/mfault --cases 20 --seed 7
+rm -r "$out"
+
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     echo "==> perfbench against HEAD (CHECK_BENCH=1)"
     # Ten alternating pairs per workload; any end-to-end metric worse

@@ -23,8 +23,7 @@ pub const INTERP_LIMIT: u64 = 5_000_000;
 
 /// Assembles a guest program against address 0.
 pub fn assemble_flat(src: &str) -> Vec<u8> {
-    let words = metal_asm::assemble_at(src, 0).expect("guest assembles");
-    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    metal_asm::assemble_image(src, 0).expect("guest assembles")
 }
 
 /// Builds a Metal-enabled engine from `builder`, loads `program` at 0,

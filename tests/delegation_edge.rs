@@ -33,8 +33,7 @@ fn run_guest(builder: MetalBuilder) -> (Core<Metal>, HaltReason) {
         .build_core(CoreConfig::default())
         .expect("machine builds");
     core.state_mut().csr.mtvec = MTVEC_HANDLER;
-    let words = metal_asm::assemble_at(GUEST, 0).expect("guest assembles");
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = metal_asm::assemble_image(GUEST, 0).expect("guest assembles");
     core.load_segments([(0u32, bytes.as_slice())], 0);
     let halt = core.run_fuel(100_000);
     (core, halt)
@@ -93,8 +92,7 @@ fn undelegation_at_runtime_restores_fallback() {
         .undelegate_exception(TrapCause::Ecall)
         .expect("valid undelegation");
     core.state_mut().csr.mtvec = MTVEC_HANDLER;
-    let words = metal_asm::assemble_at(GUEST, 0).expect("guest assembles");
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let bytes = metal_asm::assemble_image(GUEST, 0).expect("guest assembles");
     core.load_segments([(0u32, bytes.as_slice())], 0);
     assert_eq!(core.run_fuel(100_000), HaltReason::Ebreak { code: 99 });
 

@@ -107,15 +107,15 @@ fn secded_smoke_campaign_corrects_faults_without_sdc() {
         };
         let report = run(&cfg);
         assert_eq!(
-            report.count(Classification::Sdc),
+            report.tally(None).of(Classification::Sdc),
             0,
             "SDC under SECDED + recovery on {}",
             engine.label()
         );
+        let pct = report.corrected_pct().expect("cases were evaluated");
         assert!(
-            report.corrected_pct() >= 95.0,
-            "only {:.1}% corrected on {}",
-            report.corrected_pct(),
+            pct >= 95.0,
+            "only {pct:.1}% corrected on {}",
             engine.label()
         );
     }
@@ -132,8 +132,8 @@ fn parity_mreg_faults_recover_by_rollback() {
         ..smoke_config()
     };
     let report = run(&cfg);
-    assert_eq!(report.count(Classification::Sdc), 0);
-    assert!(report.corrected_pct() >= 95.0);
+    assert_eq!(report.tally(None).of(Classification::Sdc), 0);
+    assert!(report.corrected_pct().is_some_and(|pct| pct >= 95.0));
     let mreg_rollbacks = report
         .outcomes
         .iter()
@@ -175,7 +175,7 @@ fn without_ecc_nothing_is_detected() {
     }
     // A live workload must expose at least some of the corruption.
     assert!(
-        report.count(Classification::Sdc) > 0,
+        report.tally(None).of(Classification::Sdc) > 0,
         "no-ECC campaign surfaced no SDC at all"
     );
 }
@@ -188,6 +188,6 @@ fn stuck_at_faults_are_corrected_on_live_sites() {
         ..smoke_config()
     };
     let report = run(&cfg);
-    assert_eq!(report.count(Classification::Sdc), 0);
-    assert!(report.corrected_pct() >= 95.0);
+    assert_eq!(report.tally(None).of(Classification::Sdc), 0);
+    assert!(report.corrected_pct().is_some_and(|pct| pct >= 95.0));
 }

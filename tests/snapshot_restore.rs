@@ -1,17 +1,18 @@
 //! Property tests for engine snapshot/restore: rewinding a machine and
 //! rerunning must be bit-identical — same architectural state, same
-//! metrics, same emitted trace events. This is the contract `mfuzz`
-//! leans on to reset cases in microseconds instead of rebuilding
-//! machines.
+//! metrics, same emitted trace events — and a [`Rewindable`] engine's
+//! load after a dirty case must equal a fresh engine's. These are the
+//! contracts `mfuzz` and `mfault` lean on to reset cases in
+//! microseconds instead of rebuilding machines.
 
 mod common;
 
 use common::{assemble_flat, CORE_LIMIT, INTERP_LIMIT};
 use metal_core::arch::{self, Machine};
-use metal_core::{Metal, MetalBuilder};
-use metal_fuzz::grammar::{rand_guest, rand_routine};
-use metal_pipeline::state::CoreConfig;
-use metal_pipeline::{Core, Engine, HaltReason, Interp};
+use metal_core::{Metal, MetalBuilder, MetalConfig};
+use metal_fuzz::grammar::{self, rand_guest, rand_routine};
+use metal_pipeline::state::{CoreConfig, TranslationMode};
+use metal_pipeline::{Core, Engine, HaltReason, Interp, Rewindable};
 use metal_trace::{Event, MetricsSnapshot, TraceConfig, TraceHandle};
 use metal_util::Rng;
 
@@ -80,6 +81,50 @@ fn core_restore_rerun_is_bit_identical() {
 fn interp_restore_rerun_is_bit_identical() {
     for seed in 0..24u64 {
         roundtrip_from_load::<Interp<Metal>>(seed, INTERP_LIMIT);
+    }
+}
+
+/// A generated fuzz case as a load: its Metal extension, its guest
+/// image and its translation mode.
+fn case_load(seed: u64) -> (Metal, Vec<u8>, TranslationMode) {
+    let case = grammar::generate(seed);
+    let (metal, _, _) = case.metal_builder().build().expect("case builds");
+    let translation = if case.soft_tlb {
+        TranslationMode::SoftTlb
+    } else {
+        TranslationMode::Bare
+    };
+    (metal, assemble_flat(&case.guest), translation)
+}
+
+/// The campaign machine's contract: after a dirty previous case, a load
+/// into the rewound engine is the state a freshly constructed engine
+/// has after the same load, and the two still agree once both have run
+/// to halt.
+fn rewound_load_matches_fresh<E: Engine<Hooks = Metal>>(seed: u64, limit: u64) {
+    let mut machine =
+        Rewindable::<E>::new(CoreConfig::default(), Metal::new(MetalConfig::default()));
+    let (metal, program, translation) = case_load(seed);
+    let dirty = machine.load(metal, translation, &program);
+    assert!(dirty.run(limit).is_some(), "seed {seed}: dirty case halts");
+
+    let (metal, program, translation) = case_load(seed + 1000);
+    let mut fresh = E::new(CoreConfig::default(), metal.clone());
+    fresh.state_mut().translation = translation;
+    fresh.load_segments([(0u32, program.as_slice())], 0);
+    let rewound = machine.load(metal, translation, &program);
+    let differ = |a: &E, b: &E| arch::first_difference(Machine::of(a), Machine::of(b), arch::ALL);
+    assert_eq!(differ(rewound, &fresh), None, "seed {seed}: after load");
+    assert_eq!(rewound.pc(), fresh.pc());
+    assert_eq!(rewound.run(limit), fresh.run(limit), "seed {seed}: halt");
+    assert_eq!(differ(rewound, &fresh), None, "seed {seed}: after the run");
+}
+
+#[test]
+fn rewound_load_matches_fresh_engine() {
+    for seed in 0..12u64 {
+        rewound_load_matches_fresh::<Core<Metal>>(seed, CORE_LIMIT);
+        rewound_load_matches_fresh::<Interp<Metal>>(seed, INTERP_LIMIT);
     }
 }
 

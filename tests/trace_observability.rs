@@ -68,8 +68,7 @@ fn tracing_is_zero_perturbation() {
     let mut rng = Rng::new(0x0b5e_0001);
     for case in 0..24 {
         let src = guest(&mut rng);
-        let words = metal_asm::assemble_at(&src, 0).expect("guest assembles");
-        let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let image = metal_asm::assemble_image(&src, 0).expect("guest assembles");
 
         let plain = run(build_metal(), &image, None);
         let traced = run(
@@ -119,8 +118,7 @@ fn chrome_export_is_well_formed() {
     let mut rng = Rng::new(0x0b5e_0002);
     for case in 0..12 {
         let src = guest(&mut rng);
-        let words = metal_asm::assemble_at(&src, 0).expect("guest assembles");
-        let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let image = metal_asm::assemble_image(&src, 0).expect("guest assembles");
         let detail = if rng.chance() {
             Detail::Full
         } else {
@@ -185,8 +183,7 @@ fn chrome_export_is_well_formed() {
 #[test]
 fn metrics_snapshot_is_complete() {
     let src = "li s0, 0x8000\nli s1, 40\nloop:\n menter 0\n sw s1, 0(s0)\n lw t1, 0(s0)\n addi s1, s1, -1\n bnez s1, loop\n ebreak";
-    let words = metal_asm::assemble_at(src, 0).expect("guest assembles");
-    let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let image = metal_asm::assemble_image(src, 0).expect("guest assembles");
     let core = run(
         build_metal(),
         &image,
@@ -241,8 +238,7 @@ fn metrics_snapshot_omits_rates_with_nothing_to_divide() {
     // No load or store: the D-cache and TLB see no access, so their
     // hit rates are left out rather than reported as 0 (a 0% hit rate
     // would be a real measurement).
-    let words = metal_asm::assemble_at("li a0, 7\nebreak", 0).expect("guest assembles");
-    let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let image = metal_asm::assemble_image("li a0, 7\nebreak", 0).expect("guest assembles");
     let core = run(build_metal(), &image, None);
     let snap = core.state.metrics_snapshot();
     assert_eq!(snap.counter("dcache.accesses"), Some(0));
